@@ -253,6 +253,10 @@ def _renormalize_logodds(logit_p: np.ndarray, n: int) -> np.ndarray:
             raise CalibrationError("log-odds renormalization failed to bracket")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        # Once lo and hi are adjacent doubles the midpoint rounds onto one
+        # of them and further steps leave the bracket as it is.
+        if not lo < mid < hi:
+            break
         if total(mid) < n:
             lo = mid
         else:
@@ -273,19 +277,73 @@ def _logit(q: np.ndarray) -> np.ndarray:
     return np.log(q) - np.log1p(-q)
 
 
+def _hajek_newton_step(pi: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Solve J delta = r for Hajek's approximate Jacobian of the
+    fixed-size inclusion probabilities with respect to the log-odds.
+
+    Hajek's (1964) rejective-sampling approximation
+    pi_ij ~ pi_i pi_j [1 - (1 - pi_i)(1 - pi_j) / d] gives
+    J = diag(v + v^2 / d) - v v^T / d with v = pi (1 - pi), d = sum v.
+    Sherman-Morrison inverts the diagonal-plus-rank-one form in O(N):
+    with w = v (1 + v / d) and u = v / w,
+    delta = r / w + (u . r) / (d - v . u) u.
+    """
+    v = pi * (1.0 - pi)
+    d = float(v.sum())
+    w = v * (1.0 + v / d)
+    u = v / w
+    return r / w + (float(u @ r) / (d - float(v @ u))) * u
+
+
+# The safeguard gives up once a step this small still fails to lower the
+# residual: the exact forward map can no longer tell the iterates apart.
+_MIN_STEP = 1e-8
+
+
+def _forward_at_trial(logit_p: np.ndarray, m: int) -> np.ndarray | None:
+    """The exact forward map at a trial point, or None where it cannot be
+    taken: parameters that round to 0 or 1 would be read as deterministic
+    units, and a long step can spread the odds past what the symmetric
+    function tables hold."""
+    p = _expit(logit_p)
+    if not np.all((p > 0.0) & (p < 1.0)):
+        return None
+    try:
+        return _cps_first_order_raw(p, m)
+    except ArithmeticError:
+        return None
+
+
 def poisson_from_cps_inclusion(
     incl: InclusionProbabilities,
     *,
-    damping: float = 0.8,
     max_iter: int = 500,
     tol: float = 1e-12,
 ) -> CanonicalPoissonParams:
     """Recover the canonical Bernoulli parameters (sum p = n) whose
     size-conditioned design has the given first-order probabilities.
 
-    Damped fixed-point iteration on log-odds: each step moves the
-    current log-odds by ``damping`` times the log-odds mismatch between
-    target and achieved probabilities, then renormalizes to sum p = n.
+    Newton iteration on the log-odds of the free units (0 < pi < 1),
+    started at the target log-odds.  At the achieved probabilities pi,
+    with v = pi (1 - pi), d = sum v and r = pi* - pi, the step solves
+    J delta = r for Hajek's (1964, Ann. Math. Statist. 35) approximate
+    Jacobian J = diag(v + v^2 / d) - v v^T / d by Sherman-Morrison in
+    O(N).  (The cruder diag(v) - v v^T / d gains nothing: for sum r = 0
+    its solution is the diagonal step r / v up to a common shift.)
+
+    Every trial point is checked with the exact forward map, and a step
+    is accepted only if it strictly lowers max |r|; trial points the
+    forward map cannot take count as failures.  A rejected step is
+    halved; after an accepted one the step length doubles again, up to
+    a full step.  Iteration stops once max |r| <= ``tol``.  A
+    ``CalibrationError`` is raised after ``max_iter`` forward-map
+    evaluations or once the step falls below ``_MIN_STEP``.
+
+    A common log-odds shift leaves the fixed-size law unchanged, so the
+    iterates are not renormalized; one shift at the end picks the
+    representative with sum p = n.  When every free target is equal the
+    answer is known by symmetry: p = pi is canonical and induces pi, so
+    it is returned without a solve.
     """
     pi = incl.pi
     n = incl.n
@@ -301,25 +359,43 @@ def poisson_from_cps_inclusion(
     pi_free = pi[free]
     if m == pi_free.shape[0]:
         return CanonicalPoissonParams(p=p, n=n)
+    if np.all(pi_free == pi_free[0]):
+        p[free] = pi_free
+        return CanonicalPoissonParams(p=p, n=n)
 
-    target_logit = _logit(pi_free)
-    logit_p = _renormalize_logodds(target_logit.copy(), m)
-    residual = np.inf
-    for _ in range(max_iter):
-        p_free = _expit(logit_p)
-        achieved = _cps_first_order_raw(p_free, m)
-        residual = float(np.max(np.abs(achieved - pi_free)))
+    logit_p = _logit(pi_free)
+    achieved = _cps_first_order_raw(_expit(logit_p), m)
+    evaluations = 1
+    step = 1.0
+    while True:
+        r = pi_free - achieved
+        residual = float(np.max(np.abs(r)))
         if residual <= tol:
             break
-        logit_p = logit_p + damping * (target_logit - _logit(achieved))
-        logit_p = _renormalize_logodds(logit_p, m)
-    else:
-        raise CalibrationError(
-            f"parameter recovery did not converge within {max_iter} iterations "
-            f"(residual {residual:.3e})"
-        )
-    p[free] = _expit(logit_p)
-    # Exact canonical sum within the dataclass tolerance.
+        delta = _hajek_newton_step(achieved, r)
+        while True:
+            if evaluations >= max_iter:
+                raise CalibrationError(
+                    f"parameter recovery did not converge within {max_iter} "
+                    f"forward-map evaluations (residual {residual:.3e})"
+                )
+            trial = logit_p + step * delta
+            trial_achieved = _forward_at_trial(trial, m)
+            evaluations += 1
+            if (
+                trial_achieved is not None
+                and float(np.max(np.abs(pi_free - trial_achieved))) < residual
+            ):
+                break
+            step *= 0.5
+            if step < _MIN_STEP:
+                raise CalibrationError(
+                    f"parameter recovery stalled: no step above {_MIN_STEP:g} "
+                    f"lowers the residual {residual:.3e}"
+                )
+        logit_p, achieved = trial, trial_achieved
+        step = min(1.0, 2.0 * step)
+    p[free] = _expit(_renormalize_logodds(logit_p, m))
     return CanonicalPoissonParams(p=p, n=n)
 
 

@@ -103,12 +103,14 @@ class SymmetricFunctionTable:
 
 def _check_support(table: SymmetricFunctionTable, structural: np.ndarray) -> None:
     """With strictly positive odds every structurally supported e_k is
-    positive; a stored zero there means a column's dynamic range blew
-    past what one shared power-of-two exponent can absorb."""
+    positive; a stored zero there means e_0..e_kmax of one column span
+    more than one shared power-of-two exponent can absorb.  Equal odds
+    reach that at moderate N, since e_k grows like binomial(N, k)."""
     if np.all(table.odds > 0) and np.any(table.value[structural] == 0.0):
         raise ArithmeticError(
-            "odds spread exceeds double-precision dynamic range; "
-            "symmetric functions underflowed"
+            f"symmetric functions underflowed (N = {table.n_units}, "
+            f"kmax = {table.kmax}): e_0..e_kmax of one column span more "
+            "than one shared power-of-two exponent can hold in double precision"
         )
 
 

@@ -7,15 +7,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cpsband import calibration
 from cpsband import (
     CalibrationError,
     CanonicalPoissonParams,
     InclusionProbabilities,
     PopulationFrame,
+    RngStream,
     canonicalize_poisson,
     cps_inclusion_from_poisson,
     enumerate_cps_distribution,
     exact_inclusion_orders,
+    generate_population,
     pips_probabilities,
     poisson_from_cps_inclusion,
     poisson_size_variance,
@@ -119,6 +122,118 @@ class TestPoissonFixedSizeMaps:
         pi = InclusionProbabilities(pi=np.full(10, 0.3), n=3)
         params = poisson_from_cps_inclusion(pi)
         np.testing.assert_allclose(params.p, 0.3, atol=1e-12)
+
+
+def _count_forward_maps(monkeypatch) -> list[int]:
+    calls = [0]
+    forward = calibration._cps_first_order_raw
+
+    def counting(p, n):
+        calls[0] += 1
+        return forward(p, n)
+
+    monkeypatch.setattr(calibration, "_cps_first_order_raw", counting)
+    return calls
+
+
+def _round_trip_error(incl: InclusionProbabilities) -> float:
+    params = poisson_from_cps_inclusion(incl)
+    again = cps_inclusion_from_poisson(params)
+    return float(np.max(np.abs(again.pi - incl.pi)))
+
+
+class TestInverseCalibrationSolver:
+    def test_saturating_diagonal_step_design(self):
+        # An undamped diagonal step drives expit to 1 by its third step.
+        params = canonicalize_poisson(np.array([0.19, 0.19, 0.62]), 1)
+        incl = cps_inclusion_from_poisson(params)
+        assert _round_trip_error(incl) < 1e-10
+        np.testing.assert_allclose(
+            poisson_from_cps_inclusion(incl).p, params.p, atol=1e-9
+        )
+
+    @pytest.mark.parametrize(
+        "pi, n",
+        [([0.0072, 0.9928], 1), ([0.9856, 0.9037, 0.1107], 2)],
+    )
+    def test_stalling_diagonal_step_designs(self, pi, n):
+        incl = InclusionProbabilities(pi=np.array(pi), n=n)
+        assert _round_trip_error(incl) < 1e-10
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_round_trip_on_extreme_designs(self, data):
+        n_units = data.draw(st.integers(2, 12))
+        n = data.draw(st.integers(1, n_units - 1))
+        raw = data.draw(
+            st.lists(st.floats(0.001, 0.999), min_size=n_units, max_size=n_units)
+        )
+        params = canonicalize_poisson(np.asarray(raw), n)
+        assert _round_trip_error(cps_inclusion_from_poisson(params)) < 1e-10
+
+    @pytest.mark.parametrize("x, n", [(np.ones(2000), 200), ([1.0, 1.0, 1.0, 50.0], 2)])
+    def test_constant_inclusion_is_returned_without_a_solve(self, monkeypatch, x, n):
+        incl = pips_probabilities(np.asarray(x), n)
+        calls = _count_forward_maps(monkeypatch)
+        params = poisson_from_cps_inclusion(incl)
+        assert np.array_equal(params.p, incl.pi)
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("n_units", [500, 2000])
+    def test_forward_map_budget_on_proportional_design(self, monkeypatch, n_units):
+        population = generate_population(n_units, RngStream(1).substream(0))
+        incl = pips_probabilities(population.x, n_units // 10)
+        calls = _count_forward_maps(monkeypatch)
+        params = poisson_from_cps_inclusion(incl)
+        assert calls[0] <= 6
+        again = calibration._cps_first_order_raw(params.p, params.n)
+        assert np.max(np.abs(again - incl.pi)) < 1e-10
+
+    def test_gives_up_with_calibration_error(self):
+        incl = pips_probabilities(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 2)
+        with pytest.raises(CalibrationError, match="within 2 forward-map"):
+            poisson_from_cps_inclusion(incl, max_iter=2)
+        # No point meets a zero tolerance, so the safeguard runs out of step.
+        with pytest.raises(CalibrationError, match="stalled"):
+            poisson_from_cps_inclusion(incl, tol=0.0)
+
+    def test_has_no_damping_knob(self):
+        with pytest.raises(TypeError):
+            poisson_from_cps_inclusion(
+                InclusionProbabilities(pi=np.array([0.2, 0.8]), n=1), damping=0.8
+            )
+
+
+def _renormalize_full_bisection(logit_p: np.ndarray, n: int) -> np.ndarray:
+    """The renormalization with all 200 bisection steps taken."""
+
+    def total(shift: float) -> float:
+        return float(calibration._expit(logit_p + shift).sum())
+
+    lo, hi = -1.0, 1.0
+    while total(lo) > n:
+        lo *= 2.0
+    while total(hi) < n:
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if total(mid) < n:
+            lo = mid
+        else:
+            hi = mid
+    return logit_p + 0.5 * (lo + hi)
+
+
+def test_renormalization_early_exit_is_bit_identical():
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        n_units = int(rng.integers(2, 500))
+        n = int(rng.integers(1, n_units))
+        logit_p = rng.normal(rng.normal(0.0, 3.0), rng.uniform(0.1, 4.0), n_units)
+        assert np.array_equal(
+            calibration._renormalize_logodds(logit_p, n),
+            _renormalize_full_bisection(logit_p, n),
+        )
 
 
 class TestTruncationConstant:

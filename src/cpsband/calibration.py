@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .esp import prefix_table, suffix_table
+from .esp import design_kernel
 
 __all__ = [
     "PopulationFrame",
@@ -199,24 +199,7 @@ def _cps_first_order_raw(p: np.ndarray, n: int) -> np.ndarray:
     p_free = p[free]
     if m > p_free.shape[0]:
         raise CalibrationError("sample size exceeds the number of selectable units")
-    if m == p_free.shape[0]:
-        pi[free] = 1.0
-        return pi
-    odds = p_free / (1.0 - p_free)
-    suf = suffix_table(odds, m)
-    pre = prefix_table(odds, m - 1)
-    # e_{m-1}(odds without i) = sum_k e_k(odds[:i]) * e_{m-1-k}(odds[i+1:]),
-    # an addition-only split at position i.
-    k_count = pre.value.shape[0]
-    numerator = np.zeros(p_free.shape[0])
-    for k in range(k_count):
-        r = m - 1 - k
-        if r < 0:
-            break
-        numerator += pre.value[k, :-1] * suf.value[r, 1:]
-    shift = (pre.exponent[:-1] + suf.exponent[1:] - suf.exponent[0]).astype(np.int32)
-    pi_free = np.ldexp(odds * (numerator / suf.value[m, 0]), shift)
-    pi[free] = np.minimum(pi_free, 1.0)
+    pi[free] = design_kernel(p_free / (1.0 - p_free), m).first_order()
     return pi
 
 
@@ -303,8 +286,8 @@ _MIN_STEP = 1e-8
 def _forward_at_trial(logit_p: np.ndarray, m: int) -> np.ndarray | None:
     """The exact forward map at a trial point, or None where it cannot be
     taken: parameters that round to 0 or 1 would be read as deterministic
-    units, and a long step can spread the odds past what the symmetric
-    function tables hold."""
+    units, and a long step can spread the odds so far that the design
+    kernel's ratios leave double precision (it raises ArithmeticError)."""
     p = _expit(logit_p)
     if not np.all((p > 0.0) & (p < 1.0)):
         return None

@@ -1,174 +1,98 @@
-"""Scaled elementary symmetric polynomial tables.
+"""The conditional-Poisson design kernel: ratios of elementary symmetric
+polynomials, kept in the probability domain.
 
-Fixed-size sampling designs need ratios of elementary symmetric
-polynomials of the odds o_i = p_i / (1 - p_i), such as
-e_{n-1}(odds without unit i) / e_n(all odds).  The raw polynomials
-overflow float64 long before N = 100, so the tables below keep every
-column rescaled by a power of two, with the exponent stored separately.
-Power-of-two rescaling is exact in binary floating point, and all
-recurrences are addition-only, so no catastrophic cancellation can
-occur.
+Fixed-size (conditional Poisson) designs are governed by the elementary
+symmetric polynomials e_r of the odds o_j = p_j / (1 - p_j).  The raw
+polynomials overflow float64 long before N = 100, and their spread over
+r outgrows any single scale factor, so the kernel never forms them.  It
+runs the backward recursion of Chen, Dempster & Liu (1994, Biometrika
+81) on the ratios R[r, j] = e_{r-1}(o_j..) / e_r(o_j..),
+
+    R[r, j] = (1 + o_j R[r-1, j+1]) / (1 / R[r, j+1] + o_j),
+    R[0, .] = 0,   R[r >= 1, N] = inf,
+
+which follows from e_r(o_j..) = e_r(o_{j+1}..) + o_j e_{r-1}(o_{j+1}..)
+and uses only additions, multiplications and divisions of positive
+numbers.  The same pass yields the sequential sampler's conditional
+inclusion probabilities q[r, j] = o_j / (1 / R[r, j+1] + o_j): the
+chance that unit j enters when r slots are open for units j..N-1
+(Tille 2006, Sampling Algorithms, ch. 5).  A forward pass over the
+distribution of open slots then gives the exact first-order inclusion
+probabilities pi_j = sum_r P(r open at j) q[r, j].
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SymmetricFunctionTable", "suffix_table", "prefix_table"]
-
-# Columns are renormalized whenever their largest entry leaves this
-# range; the bounds are generous because a single update step can only
-# grow entries by a factor ~ (1 + max odds).
-_RESCALE_HI = 2.0 ** 256
-_RESCALE_LO = 2.0 ** -256
-
-
-def _rescale_column(col: np.ndarray, exponent: int) -> int:
-    """Scale ``col`` in place by a power of two; return the new exponent."""
-    top = col.max()
-    if top == 0.0 or _RESCALE_LO <= top <= _RESCALE_HI:
-        return exponent
-    shift = int(math.floor(math.log2(top)))
-    col *= 2.0 ** float(-shift)
-    return exponent + shift
+__all__ = ["DesignKernel", "design_kernel"]
 
 
 @dataclass(frozen=True)
-class SymmetricFunctionTable:
-    """Elementary symmetric polynomials of all suffixes of an odds vector.
+class DesignKernel:
+    """The conditional inclusion table of a size-m conditional Poisson
+    design on N units with odds o.
 
-    ``value[k, j] * 2**exponent[j]`` equals e_k(odds[j:]) for
-    k = 0..kmax and j = 0..N.  Entries with k > N - j are structurally
-    zero (no size-k subset exists).
+    ``q[r, j]`` is P(unit j enters | r slots open for units j..N-1) for
+    r = 0..m; states with r > N - j cannot occur.  ``log_esp`` is
+    log e_m(o).
     """
 
-    odds: np.ndarray
-    value: np.ndarray
-    exponent: np.ndarray
+    q: np.ndarray
+    log_esp: float
 
-    @property
-    def kmax(self) -> int:
-        return self.value.shape[0] - 1
-
-    @property
-    def n_units(self) -> int:
-        return self.value.shape[1] - 1
-
-    def ratio(self, k: int, j: int, k_den: int, j_den: int) -> float:
-        """e_k(odds[j:]) / e_{k_den}(odds[j_den:]) without overflow."""
-        num = self.value[k, j]
-        den = self.value[k_den, j_den]
-        if den == 0.0:
-            raise ZeroDivisionError("denominator symmetric function is zero")
-        shift = int(self.exponent[j] - self.exponent[j_den])
-        return math.ldexp(num / den, shift)
-
-    def include_probability(self, j: int, r: int) -> float:
-        """P(unit j enters | r slots left for units j..N-1) under the
-        fixed-size law: odds_j * e_{r-1}(odds[j+1:]) / e_r(odds[j:])."""
-        if r <= 0:
-            return 0.0
-        if self.n_units - j == r:
-            return 1.0
-        return self.odds[j] * self.ratio(r - 1, j + 1, r, j)
-
-    def include_probability_matrix(self) -> np.ndarray:
-        """All conditional inclusion probabilities at once.
-
-        Returns ``prob`` of shape (kmax+1, N) with
-        prob[r, j] = P(unit j enters | r slots left for units j..N-1).
-        States with r > N - j cannot occur; those entries are 0.
-        Rows must apply to a suffix table.
-        """
-        kmax, n_units = self.kmax, self.n_units
-        prob = np.zeros((kmax + 1, n_units))
-        shift = (self.exponent[1:] - self.exponent[:-1]).astype(np.int32)
-        for r in range(1, kmax + 1):
-            num = self.value[r - 1, 1:]
-            den = self.value[r, :-1]
-            ratio = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), 0.0)
-            prob[r] = np.ldexp(self.odds * ratio, shift)
-        js = np.arange(n_units)
-        for r in range(1, kmax + 1):
-            prob[r, n_units - js == r] = 1.0
-            prob[r, n_units - js < r] = 0.0
-        bad = (prob < 0.0) | (prob > 1.0 + 1e-12)
-        if bad.any():
-            raise ArithmeticError("conditional inclusion probability outside [0, 1]")
-        return np.minimum(prob, 1.0)
+    def first_order(self) -> np.ndarray:
+        """Exact first-order inclusion probabilities, by pushing the
+        distribution of open slots through the units in order."""
+        table = self.q.T
+        open_slots = np.zeros(table.shape[1])
+        open_slots[-1] = 1.0
+        pi = np.empty(table.shape[0])
+        for j, row in enumerate(table):
+            take = open_slots * row
+            pi[j] = take.sum()
+            open_slots -= take
+            open_slots[:-1] += take[1:]
+        return np.minimum(pi, 1.0)
 
 
-def _check_support(table: SymmetricFunctionTable, structural: np.ndarray) -> None:
-    """With strictly positive odds every structurally supported e_k is
-    positive; a stored zero there means e_0..e_kmax of one column span
-    more than one shared power-of-two exponent can absorb.  Equal odds
-    reach that at moderate N, since e_k grows like binomial(N, k)."""
-    if np.all(table.odds > 0) and np.any(table.value[structural] == 0.0):
+def design_kernel(odds: np.ndarray, m: int) -> DesignKernel:
+    """Run the ratio recursion over strictly positive odds for m slots.
+
+    Raises ValueError for malformed odds or m outside [0, N], and
+    ArithmeticError when the odds spread so far that a ratio leaves
+    double precision; the table then never holds a NaN or a wrong
+    infinity.
+    """
+    odds = np.asarray(odds, dtype=float)
+    if odds.ndim != 1:
+        raise ValueError("odds must be a 1-d array")
+    if not np.all(np.isfinite(odds)) or np.any(odds <= 0):
+        raise ValueError("odds must be finite and positive")
+    n_units = odds.shape[0]
+    if not 0 <= m <= n_units:
+        raise ValueError(f"slot count {m} outside [0, {n_units}]")
+    # Row j holds q[:, j], so each step writes contiguous memory.
+    table = np.zeros((n_units, m + 1))
+    ratio = np.full(m + 1, np.inf)
+    ratio[0] = 0.0
+    # ratio[r] is inf wherever e_r = 0 (r > N - j), and 1 / inf = 0 makes
+    # the forced state r = N - j give q = 1 exactly; no operation on those
+    # entries sets a floating-point flag.  A flag therefore means a finite
+    # ratio overflowed or underflowed to zero.
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            for j in range(n_units - 1, -1, -1):
+                o = odds[j]
+                denom = 1.0 / ratio[1:] + o
+                table[j, 1:] = o / denom
+                ratio[1:] = (1.0 + o * ratio[:-1]) / denom
+            log_esp = -float(np.log(ratio[1:]).sum())
+    except FloatingPointError as exc:
         raise ArithmeticError(
-            f"symmetric functions underflowed (N = {table.n_units}, "
-            f"kmax = {table.kmax}): e_0..e_kmax of one column span more "
-            "than one shared power-of-two exponent can hold in double precision"
-        )
-
-
-def suffix_table(odds: np.ndarray, kmax: int) -> SymmetricFunctionTable:
-    """Build e_k(odds[j:]) for k = 0..kmax, j = N..0 by the
-    addition-only recurrence e_k(j:) = e_k(j+1:) + odds_j * e_{k-1}(j+1:)."""
-    odds = np.asarray(odds, dtype=float)
-    if odds.ndim != 1:
-        raise ValueError("odds must be a 1-d array")
-    if np.any(odds < 0) or not np.all(np.isfinite(odds)):
-        raise ValueError("odds must be finite and nonnegative")
-    n_units = odds.shape[0]
-    kmax = min(kmax, n_units)
-    value = np.zeros((kmax + 1, n_units + 1))
-    exponent = np.zeros(n_units + 1, dtype=np.int64)
-    value[0, n_units] = 1.0
-    col = value[:, n_units].copy()
-    exp_j = 0
-    for j in range(n_units - 1, -1, -1):
-        new = col.copy()
-        new[1:] += odds[j] * col[:-1]
-        exp_j = _rescale_column(new, exp_j)
-        value[:, j] = new
-        exponent[j] = exp_j
-        col = new
-    table = SymmetricFunctionTable(odds=odds, value=value, exponent=exponent)
-    ks = np.arange(kmax + 1)[:, None]
-    js = np.arange(n_units + 1)[None, :]
-    _check_support(table, ks <= n_units - js)
-    return table
-
-
-def prefix_table(odds: np.ndarray, kmax: int) -> SymmetricFunctionTable:
-    """Build e_k(odds[:i]) for k = 0..kmax, i = 0..N.
-
-    ``value[k, i] * 2**exponent[i]`` equals e_k(odds[:i]).
-    """
-    odds = np.asarray(odds, dtype=float)
-    if odds.ndim != 1:
-        raise ValueError("odds must be a 1-d array")
-    if np.any(odds < 0) or not np.all(np.isfinite(odds)):
-        raise ValueError("odds must be finite and nonnegative")
-    n_units = odds.shape[0]
-    kmax = min(kmax, n_units)
-    value = np.zeros((kmax + 1, n_units + 1))
-    exponent = np.zeros(n_units + 1, dtype=np.int64)
-    value[0, 0] = 1.0
-    col = value[:, 0].copy()
-    exp_i = 0
-    for i in range(1, n_units + 1):
-        new = col.copy()
-        new[1:] += odds[i - 1] * col[:-1]
-        exp_i = _rescale_column(new, exp_i)
-        value[:, i] = new
-        exponent[i] = exp_i
-        col = new
-    table = SymmetricFunctionTable(odds=odds, value=value, exponent=exponent)
-    ks = np.arange(kmax + 1)[:, None]
-    js = np.arange(n_units + 1)[None, :]
-    _check_support(table, ks <= js)
-    return table
+            f"symmetric-function ratios left double precision (N = {n_units}, "
+            f"m = {m}, odds in [{odds.min():.3g}, {odds.max():.3g}])"
+        ) from exc
+    return DesignKernel(q=table.T, log_esp=log_esp)

@@ -19,7 +19,7 @@ from typing import Literal, NamedTuple
 import numpy as np
 
 from .calibration import CanonicalPoissonParams, _frozen_array
-from .esp import suffix_table
+from .esp import design_kernel
 
 __all__ = [
     "FrequencyEstimate",
@@ -90,18 +90,13 @@ def poisson_sample(params: CanonicalPoissonParams, rng: RngStream) -> SampleIndi
 
 
 def _log_acceptance(params: CanonicalPoissonParams) -> float:
-    """log P(Poisson size = n), for rejection-failure diagnostics."""
+    """log P(Poisson size = n) = log e_m(free odds) + sum log(1 - p_free),
+    for rejection-failure diagnostics."""
     free = params.p < 1.0
     m = params.n - int((~free).sum())
     p_free = params.p[free]
-    table = suffix_table(p_free / (1.0 - p_free), m)
-    e_m = table.value[m, 0]
-    if e_m == 0.0:
-        return -math.inf
-    return (
-        math.log(e_m)
-        + int(table.exponent[0]) * math.log(2.0)
-        + float(np.log1p(-p_free).sum())
+    return design_kernel(p_free / (1.0 - p_free), m).log_esp + float(
+        np.log1p(-p_free).sum()
     )
 
 
@@ -128,7 +123,7 @@ def cps_sample_rejection(
     expected = math.exp(-_log_acceptance(params))
     raise SamplingError(
         f"no size-{params.n} sample in {max_attempts} attempts; "
-        f"expected attempts per draw is {expected:.3g}"
+        f"expected attempts per draw is {expected:.12g}"
     )
 
 
@@ -158,7 +153,7 @@ def cps_sample_rejection_batch(
             expected = math.exp(-_log_acceptance(params))
             raise SamplingError(
                 f"{got} of {draws} samples after {spent} proposals; "
-                f"expected attempts per draw is {expected:.3g}"
+                f"expected attempts per draw is {expected:.12g}"
             )
         proposal = gen.random((block, p.shape[0])) < p
         spent += block
@@ -178,7 +173,7 @@ def cps_sample_sequential_batch(
     Units are visited in index order.  With r slots still open before
     unit j, the unit enters with probability
     odds_j * e_{r-1}(odds after j) / e_r(odds from j on), all draws
-    sharing one precomputed table of those conditional probabilities.
+    sharing the design kernel's table q of those probabilities.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
@@ -192,7 +187,7 @@ def cps_sample_sequential_batch(
     if m == 0:
         return out
     odds = p[free] / (1.0 - p[free])
-    prob = suffix_table(odds, m).include_probability_matrix()
+    prob = design_kernel(odds, m).q
     gen = rng.generator()
     u = gen.random((draws, free.shape[0]))
     slots = np.full(draws, m, dtype=np.int64)

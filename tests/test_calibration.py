@@ -16,6 +16,7 @@ from cpsband import (
     RngStream,
     canonicalize_poisson,
     cps_inclusion_from_poisson,
+    cps_sample_sequential,
     enumerate_cps_distribution,
     exact_inclusion_orders,
     generate_population,
@@ -202,6 +203,26 @@ class TestInverseCalibrationSolver:
             poisson_from_cps_inclusion(
                 InclusionProbabilities(pi=np.array([0.2, 0.8]), n=1), damping=0.8
             )
+
+
+class TestLargeDesigns:
+    """Sizes where e_0..e_m of one column span more than a single
+    floating-point scale can hold, even with equal odds."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5])
+    def test_equal_design_calibrates_and_samples(self, alpha):
+        n_units = 10_000
+        n = round(alpha * n_units)
+        params = poisson_from_cps_inclusion(pips_probabilities(np.ones(n_units), n))
+        assert cps_sample_sequential(params, RngStream(3)).count == n
+        achieved = cps_inclusion_from_poisson(params).pi
+        assert np.max(np.abs(achieved - n / n_units)) < 1e-12
+
+    @pytest.mark.parametrize("n_units, alpha", [(2000, 0.5), (4000, 0.1)])
+    def test_proportional_round_trip(self, n_units, alpha):
+        population = generate_population(n_units, RngStream(1))
+        incl = pips_probabilities(population.x, round(alpha * n_units))
+        assert _round_trip_error(incl) < 1e-10
 
 
 def _renormalize_full_bisection(logit_p: np.ndarray, n: int) -> np.ndarray:

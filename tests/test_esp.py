@@ -1,131 +1,134 @@
-"""Symmetric-function tables against exact rational enumeration."""
+"""The design kernel against exact rational enumeration."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cpsband.esp import prefix_table, suffix_table
+from cpsband.esp import design_kernel
 
 from helpers import esp_exact
 
-# Integer odds <= 8 on <= 12 units keep every e_k below 2**53, so the
-# addition-only recurrence with power-of-two rescaling is bit exact.
+# The kernel's infinity arithmetic must never set a floating-point flag
+# unnoticed: an unguarded divide or overflow fails the test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+# Integer odds <= 8 on <= 12 units, so Fractions give exact references.
 int_odds = st.lists(st.integers(1, 8), min_size=1, max_size=12)
 
 
-def table_entry(table, k: int, j: int) -> float:
-    return math.ldexp(table.value[k, j], int(table.exponent[j]))
+@st.composite
+def odds_and_slots(draw, odds_strategy=int_odds):
+    odds = draw(odds_strategy)
+    return odds, draw(st.integers(0, len(odds)))
 
 
 @given(int_odds)
 def test_suffix_table_is_exact_on_integers(odds):
-    table = suffix_table(np.array(odds, dtype=float), kmax=len(odds))
-    for j in range(len(odds) + 1):
+    # Every suffix sum e_k(o_j..) the backward recursion passes through,
+    # read back as log e_k of the kernel run on that suffix.
+    for j in range(len(odds)):
         for k in range(len(odds) - j + 1):
-            assert table_entry(table, k, j) == float(esp_exact(odds[j:], k))
+            kernel = design_kernel(np.array(odds[j:], dtype=float), k)
+            want = math.log(esp_exact(odds[j:], k))
+            assert kernel.log_esp == pytest.approx(want, abs=1e-13)
 
 
-@given(int_odds)
-def test_prefix_table_is_exact_on_integers(odds):
-    table = prefix_table(np.array(odds, dtype=float), kmax=len(odds))
-    for i in range(len(odds) + 1):
-        for k in range(i + 1):
-            assert table_entry(table, k, i) == float(esp_exact(odds[:i], k))
+@given(odds_and_slots())
+def test_include_probability_matches_fractions(case):
+    odds, m = case
+    q = design_kernel(np.array(odds, dtype=float), m).q
+    assert q.shape == (m + 1, len(odds))
+    # P(unit j enters | r slots among units j..N-1) = odds_j e_{r-1}(j+1:) / e_r(j:)
+    for j in range(len(odds)):
+        for r in range(1, min(m, len(odds) - j) + 1):
+            want = odds[j] * esp_exact(odds[j + 1 :], r - 1) / esp_exact(odds[j:], r)
+            assert q[r, j] == pytest.approx(float(want), rel=1e-14)
+
+
+@given(odds_and_slots())
+def test_first_order_matches_fractions(case):
+    odds, m = case
+    pi = design_kernel(np.array(odds, dtype=float), m).first_order()
+    e_m = esp_exact(odds, m)
+    for j, o in enumerate(odds):
+        want = o * esp_exact(odds[:j] + odds[j + 1 :], m - 1) / e_m if m else 0
+        assert pi[j] == pytest.approx(float(want), rel=1e-14, abs=1e-15)
+
+
+@given(odds_and_slots())
+def test_log_esp_matches_fractions(case):
+    odds, m = case
+    kernel = design_kernel(np.array(odds, dtype=float), m)
+    assert kernel.log_esp == pytest.approx(math.log(esp_exact(odds, m)), abs=1e-13)
+
+
+@given(odds_and_slots(st.lists(st.floats(0.01, 50.0), min_size=1, max_size=15)))
+def test_include_probability_forced_and_spent_states(case):
+    odds, m = case
+    q = design_kernel(np.array(odds), m).q
+    n_units = len(odds)
+    assert np.all(q[0] == 0.0)
+    for j in range(n_units):
+        if 1 <= n_units - j <= m:
+            assert q[n_units - j, j] == 1.0
 
 
 @given(int_odds)
 def test_structural_zeros(odds):
-    table = suffix_table(np.array(odds, dtype=float), kmax=len(odds))
-    n = len(odds)
-    for j in range(n + 1):
-        for k in range(n - j + 1, n + 1):
-            assert table.value[k, j] == 0.0
-
-
-def test_ratio_matches_fractions():
-    odds = [2, 3, 5, 7, 4]
-    table = suffix_table(np.array(odds, dtype=float), kmax=5)
-    got = table.ratio(2, 1, 3, 0)
-    want = esp_exact(odds[1:], 2) / esp_exact(odds, 3)
-    assert got == pytest.approx(float(want), rel=1e-15)
-
-
-def test_ratio_rejects_zero_denominator():
-    table = suffix_table(np.array([1.0, 2.0]), kmax=2)
-    with pytest.raises(ZeroDivisionError):
-        table.ratio(0, 0, 2, 1)
-
-
-def test_include_probability_matches_fractions():
-    odds = [1, 4, 2, 6, 3]
-    table = suffix_table(np.array(odds, dtype=float), kmax=3)
-    # P(unit j enters | r slots among units j..N-1) = odds_j e_{r-1}(j+1:) / e_r(j:)
-    for j in range(5):
-        for r in range(1, min(3, 5 - j) + 1):
-            want = odds[j] * esp_exact(odds[j + 1 :], r - 1) / esp_exact(odds[j:], r)
-            assert table.include_probability(j, r) == pytest.approx(
-                float(want), rel=1e-14
-            )
-
-
-def test_include_probability_forced_and_spent_states():
-    table = suffix_table(np.array([2.0, 1.0, 3.0]), kmax=3)
-    assert table.include_probability(0, 3) == 1.0
-    assert table.include_probability(2, 1) == 1.0
-    assert table.include_probability(1, 0) == 0.0
-
-
-@given(st.lists(st.floats(0.01, 50.0), min_size=2, max_size=15))
-def test_probability_matrix_agrees_with_scalar_path(odds):
-    arr = np.array(odds)
-    kmax = min(4, len(odds))
-    table = suffix_table(arr, kmax=kmax)
-    matrix = table.include_probability_matrix()
-    n = len(odds)
-    for r in range(kmax + 1):
-        for j in range(n):
-            if n - j < r:
-                assert matrix[r, j] == 0.0
-            else:
-                assert matrix[r, j] == pytest.approx(
-                    table.include_probability(j, r), abs=1e-14
-                )
+    # e_k(o_j..) = 0 for k > N - j: no design draws more units than the
+    # suffix holds, and with m = N every unit is forced, e_N = prod o_j.
+    n_units = len(odds)
+    for j in range(n_units):
+        for k in range(n_units - j + 1, n_units + 1):
+            with pytest.raises(ValueError):
+                design_kernel(np.array(odds[j:], dtype=float), k)
+    kernel = design_kernel(np.array(odds, dtype=float), n_units)
+    assert np.all(kernel.first_order() == 1.0)
+    want = math.log(esp_exact(odds, n_units))
+    assert kernel.log_esp == pytest.approx(want, abs=1e-13)
 
 
 @given(st.lists(st.floats(0.01, 50.0), min_size=2, max_size=15))
 def test_probability_matrix_rows_lie_in_unit_interval(odds):
-    table = suffix_table(np.array(odds), kmax=min(5, len(odds)))
-    matrix = table.include_probability_matrix()
-    assert np.all(matrix >= 0.0)
-    assert np.all(matrix <= 1.0)
+    q = design_kernel(np.array(odds), min(5, len(odds))).q
+    assert np.all(q >= 0.0)
+    assert np.all(q <= 1.0)
 
 
-def test_rescaling_survives_extreme_magnitudes():
-    # 400 units with odds 2 push raw e_200 near 2**600, far past the
-    # 2**256 rescale trigger, while every column entry stays
-    # representable under the shared exponent.
-    odds = np.full(400, 2.0)
-    table = suffix_table(odds, kmax=200)
-    # e_k / e_{k-1} for equal odds w is w * (N - k + 1) / k.
-    want = 2.0 * (400 - 199) / 200
-    assert table.ratio(200, 0, 199, 0) == pytest.approx(want, rel=1e-12)
-    assert np.all(np.isfinite(table.value))
+@pytest.mark.parametrize("odds", [2.0, 1e6], ids=["odds2", "odds1e6"])
+def test_equal_odds_closed_form(odds):
+    # e_0..e_200 of 400 units with odds 1e6 span ~2**4200, more than one
+    # floating-point scale can hold; the ratios stay of order one.
+    n_units, m = 400, 200
+    kernel = design_kernel(np.full(n_units, odds), m)
+    for j in range(n_units):
+        r = np.arange(1, min(m, n_units - j) + 1)
+        np.testing.assert_allclose(kernel.q[r, j], r / (n_units - j), rtol=1e-12)
+    np.testing.assert_allclose(kernel.first_order(), m / n_units, rtol=1e-12)
+    log_binom = math.lgamma(n_units + 1) - 2 * math.lgamma(m + 1)
+    assert kernel.log_esp == pytest.approx(log_binom + m * math.log(odds), rel=1e-12)
 
 
-def test_underflowing_dynamic_range_is_detected():
-    # Equal odds 1e6 over 400 units span ~2**4200 between e_0 and e_200,
-    # beyond what one power-of-two exponent per column can hold.
+def test_extreme_odds_mix_raises_arithmetic_error():
+    # The products o_j R[r-1, j+1] reach 1e200 * 5e199 and overflow.
+    odds = np.array([1e200, 1e200, 1e-200, 1e-200])
     with pytest.raises(ArithmeticError):
-        suffix_table(np.full(400, 1e6), kmax=200)
+        design_kernel(odds, 2)
 
 
 def test_rejects_negative_and_non_finite_odds():
+    for odds in ([1.0, -0.5], [np.inf, 1.0], [np.nan, 1.0], [0.0, 1.0]):
+        with pytest.raises(ValueError):
+            design_kernel(np.array(odds), 1)
     with pytest.raises(ValueError):
-        suffix_table(np.array([1.0, -0.5]), kmax=1)
-    with pytest.raises(ValueError):
-        prefix_table(np.array([np.inf, 1.0]), kmax=1)
+        design_kernel(np.ones((2, 2)), 1)
+
+
+def test_rejects_slot_count_beyond_units():
+    for m in (-1, 3):
+        with pytest.raises(ValueError):
+            design_kernel(np.ones(2), m)

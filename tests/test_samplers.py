@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,12 +12,14 @@ from cpsband import (
     CanonicalPoissonParams,
     RngStream,
     SamplingError,
+    canonicalize_poisson,
     cps_sample_rejection,
     cps_sample_rejection_batch,
     cps_sample_sequential,
     cps_sample_sequential_batch,
     empirical_cps_distribution,
     enumerate_cps_distribution,
+    enumerate_poisson_distribution,
     estimate_inclusion_frequencies,
     exact_inclusion_orders,
     poisson_sample,
@@ -126,6 +130,16 @@ def test_rejection_budget_error_reports_expected_attempts():
     params = CanonicalPoissonParams(p=np.full(400, 0.5), n=200)
     with pytest.raises(SamplingError, match="expected attempts"):
         cps_sample_rejection(params, RngStream(0), max_attempts=1)
+    # A small design with a certain unit, where seed 4's one proposal
+    # misses n: the reported figure is 1 / P(|S| = n) under the
+    # independent design.
+    params = canonicalize_poisson(np.array([0.05, 0.3, 0.6, 0.95, 0.5, 0.2, 1.0]), 4)
+    with pytest.raises(SamplingError) as failure:
+        cps_sample_rejection(params, RngStream(4), max_attempts=1)
+    reported = float(re.search(r"expected attempts per draw is (\S+)", str(failure.value))[1])
+    law = enumerate_poisson_distribution(params.p)
+    acceptance = law.probability[law.indicators.sum(axis=1) == params.n].sum()
+    assert reported == pytest.approx(1.0 / acceptance, rel=1e-9)
 
 
 def test_certain_units_always_sampled():

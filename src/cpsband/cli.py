@@ -21,20 +21,12 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import (
-    InclusionProbabilities,
     PopulationFrame,
     cps_inclusion_from_poisson,
     pips_probabilities,
     poisson_from_cps_inclusion,
 )
-from .inference import (
-    build_band,
-    cholesky_psd,
-    coverage_check,
-    estimate_cov_hajek,
-    estimate_cov_ht,
-    simulate_sup_quantile,
-)
+from .inference import build_band, coverage_check, simulate_sup_norms, sup_quantile
 from .oracle import (
     empirical_cps_distribution,
     enumerate_cps_distribution,
@@ -42,7 +34,13 @@ from .oracle import (
     exact_inclusion_orders,
     total_variation,
 )
-from .processes import ThresholdGrid, hajek_evaluate, htep_evaluate, sup_norm_cdf
+from .processes import (
+    ThresholdGrid,
+    _weighted_counts,
+    hajek_evaluate,
+    htep_evaluate,
+    sup_norm_cdf,
+)
 from .samplers import (
     RngStream,
     SampleIndicators,
@@ -164,23 +162,6 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _estimated_cdf(
-    pop: PopulationFrame,
-    incl: InclusionProbabilities,
-    sample: SampleIndicators,
-    grid: ThresholdGrid,
-    estimator: str,
-) -> np.ndarray:
-    weights = sample.s / incl.pi
-    if estimator == "hajek":
-        weights = weights / weights.sum()
-    else:
-        weights = weights / pop.size
-    order = np.argsort(pop.y, kind="stable")
-    cum = np.concatenate(([0.0], np.cumsum(weights[order])))
-    return cum[np.searchsorted(pop.y[order], grid.t, side="right")]
-
-
 def _cmd_band(args: argparse.Namespace) -> int:
     units, pop = _read_population(Path(args.population))
     sample = _read_sample(Path(args.sample), units)
@@ -191,20 +172,28 @@ def _cmd_band(args: argparse.Namespace) -> int:
     n = sample.count
     incl = pips_probabilities(pop.x, n)
     grid = ThresholdGrid.from_population(pop.y)
+    weights = sample.s / incl.pi
     if args.estimator == "hajek":
         evaluation = hajek_evaluate(pop, incl, sample, grid)
-        cov = estimate_cov_hajek(pop, incl, sample, np.sort(pop.y[sample.s == 1]))
+        weights = weights / weights.sum()
     else:
         evaluation = htep_evaluate(pop, incl, sample, grid)
-        cov = estimate_cov_ht(pop, incl, sample, np.sort(pop.y[sample.s == 1]))
+        weights = weights / pop.size
     sup_stat = sup_norm_cdf(evaluation)
-    factor = cholesky_psd(cov)
-    quantile = simulate_sup_quantile(
-        factor.lower, args.gamma, args.quantile_draws, RngStream(args.seed)
+    sampled = sample.s == 1
+    sups_ht, sups_hajek = simulate_sup_norms(
+        pop.y[sampled],
+        incl.pi[sampled],
+        float((incl.pi * (1.0 - incl.pi)).sum()),
+        pop.size,
+        args.quantile_draws,
+        RngStream(args.seed),
     )
-    band = build_band(
-        _estimated_cdf(pop, incl, sample, grid, args.estimator), quantile, pop.size
+    quantile = sup_quantile(
+        sups_hajek if args.estimator == "hajek" else sups_ht, args.gamma
     )
+    center, _ = _weighted_counts(pop.y, weights, grid.t)
+    band = build_band(center, quantile, pop.size)
     rows = [
         [_fmt(t), _fmt(c), _fmt(lo), _fmt(hi)]
         for t, c, lo, hi in zip(grid.t, band.center, band.lower, band.upper)
@@ -215,7 +204,7 @@ def _cmd_band(args: argparse.Namespace) -> int:
     covered = coverage_check(sup_stat, quantile)
     print(
         f"sup={sup_stat:.6f} q_hat={quantile.q_hat:.6f} covered={covered} "
-        f"width={band.width:.6f} jitter={factor.jitter:.3g}"
+        f"width={band.width:.6f}"
     )
     return 0
 

@@ -1,12 +1,13 @@
 """Covariance estimation, sup-norm quantiles, and confidence bands.
 
-The band pipeline estimates the limit covariance of the chosen
-empirical process on the sampled thresholds, factorizes it, simulates
-Gaussian sup norms through the factor, and turns the simulated quantile
-into a uniform band of half-width q_hat / sqrt(N) around the estimated
-CDF.  Both process variants share the same Gaussian draws when handed
-the same stream, which keeps their quantiles comparable replication by
-replication.
+The plug-in covariance of either empirical process on the sampled
+thresholds is AᵀA for an n×n matrix A with one row per sampled unit,
+so the band pipeline draws its Gaussian paths as ξA, in O(B'·n), with
+no covariance to form or factorize.  The simulated sup quantile gives a
+uniform band of half-width q_hat / sqrt(N) around the estimated CDF.
+Both process variants share one set of Gaussian draws, which keeps
+their quantiles comparable replication by replication.  The n×n
+estimates are the reference that AᵀA is tested against.
 """
 
 from __future__ import annotations
@@ -25,19 +26,19 @@ from .calibration import (
 from .samplers import RngStream, SampleIndicators
 
 __all__ = [
-    "CholeskyFactor",
     "ConfidenceBand",
     "CovarianceEstimate",
     "LimitCovariance",
     "QuantileEstimate",
     "build_band",
-    "cholesky_psd",
     "coverage_check",
     "estimate_cov_hajek",
     "estimate_cov_ht",
     "limit_cov_hajek",
     "limit_cov_ht",
+    "simulate_sup_norms",
     "simulate_sup_quantile",
+    "sup_quantile",
 ]
 
 # A population model draws (y, x) pairs; see sim harness for the
@@ -256,33 +257,74 @@ def limit_cov_hajek(
     )
 
 
-class CholeskyFactor(NamedTuple):
-    lower: np.ndarray
-    jitter: float
+def _gaussian_paths(
+    xi: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray, d_n: float, n_units: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ξA of the HT and Hájek Gaussian paths on the sorted sampled y;
+    ξ is overwritten.
 
-
-def cholesky_psd(m: CovarianceEstimate) -> CholeskyFactor:
-    """Lower-triangular L with L Lᵀ = matrix + jitter·I.
-
-    Indicator classes yield exactly rank-deficient estimates whenever
-    sampled thresholds tie, so the jitter escalates through
-    {0, 1e-12, 1e-10, 1e-8} · trace/r until numpy's factorization
-    accepts the matrix.  The jitter actually used is returned.
+    Column j of ξ weights the j-th sampled unit in y order.  With
+    w = (1−π)/π² and Z the Z scores of estimate_cov_ht, A = diag(√w) Z/√N
+    has AᵀA = estimate_cov_ht; centering Z as estimate_cov_hajek does and
+    N̂ in place of N give the Hájek one.  I(y_k <= t_r) selects a prefix
+    of the sorted units, so ξA is a cumulative sum minus rank-one terms,
+    read at the last unit of each tie group.
     """
-    matrix = m.matrix
-    if not matrix.any():
-        return CholeskyFactor(lower=np.zeros_like(matrix), jitter=0.0)
-    scale = float(np.trace(matrix)) / m.order
-    eye = np.eye(m.order)
-    for step in (0.0, 1e-12, 1e-10, 1e-8):
-        jitter = step * scale
-        try:
-            lower = np.linalg.cholesky(matrix + jitter * eye)
-        except np.linalg.LinAlgError:
-            continue
-        return CholeskyFactor(lower=lower, jitter=jitter)
-    raise np.linalg.LinAlgError(
-        "covariance not factorizable even at the largest jitter"
+    order = np.argsort(y_s, kind="stable")
+    y = y_s[order]
+    pi = pi_s[order]
+    last = np.searchsorted(y, y, side="right") - 1
+    # d_N = 0 only when every π is 0 or 1, so then every sampled odds is 0.
+    slope = np.cumsum((1.0 - pi) / pi) / (d_n or 1.0)
+    inv_pi = 1.0 / pi
+    n_hat = float(inv_pi.sum())
+    z_bar = (np.cumsum(inv_pi) - y.shape[0] * slope) / n_hat
+    xi *= np.sqrt(1.0 - pi) / pi
+    u_pi, u_sum = xi @ pi, xi.sum(axis=1)
+    np.cumsum(xi, axis=1, out=xi)
+    rank_one = np.multiply.outer(u_pi, slope)
+    xi -= rank_one
+    g_ht = xi[:, last]
+    g_ht /= math.sqrt(n_units)
+    np.multiply.outer(u_sum, z_bar, out=rank_one)
+    xi -= rank_one
+    g_hajek = xi[:, last]
+    g_hajek /= math.sqrt(n_hat)
+    return g_ht, g_hajek
+
+
+def simulate_sup_norms(
+    y_s: np.ndarray,
+    pi_s: np.ndarray,
+    d_n: float,
+    n_units: int,
+    b_prime: int,
+    rng: RngStream,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted sup norms of B' Gaussian paths with the HT and the Hájek
+    plug-in covariance on the sampled thresholds, from the sampled y and
+    π, the size variance d_N = Σ_U π(1−π) and the population size N.
+
+    Both share one B'×n standard normal draw, which depends only on the
+    stream and n.  Time and memory are O(B'·n); a census gives zero sups.
+    """
+    if b_prime < 100:
+        raise ValueError("b_prime must be at least 100")
+    xi = rng.generator().standard_normal((b_prime, y_s.shape[0]))
+    paths = _gaussian_paths(xi, y_s, pi_s, d_n, n_units)
+    return tuple(np.sort(np.abs(g, out=g).max(axis=1)) for g in paths)
+
+
+def sup_quantile(sorted_sups: np.ndarray, gamma: float) -> QuantileEstimate:
+    """The gamma-quantile of B' sorted simulated sup norms, taken as the
+    order statistic at index ceil(gamma·B'), which never falls below the
+    true empirical quantile."""
+    if not 0.0 < gamma < 1.0:
+        raise ValueError("gamma must lie in (0, 1)")
+    b_prime = sorted_sups.shape[0]
+    index = math.ceil(gamma * b_prime) - 1
+    return QuantileEstimate(
+        gamma=gamma, q_hat=float(sorted_sups[index]), mc_draws=b_prime
     )
 
 
@@ -294,22 +336,17 @@ def simulate_sup_quantile(
 ) -> QuantileEstimate:
     """Simulated gamma-quantile of max_r |(L Z)_r| over standard normal Z.
 
-    The quantile is the order statistic at index ceil(gamma·B'), which
-    never falls below the true empirical quantile.  Draws depend only
-    on the stream and the matrix order, so factors of equal size handed
-    the same stream see identical Gaussian vectors.
+    Draws depend only on the stream and the matrix order, so factors of
+    equal size handed the same stream see identical Gaussian vectors.
     """
     if b_prime < 100:
         raise ValueError("b_prime must be at least 100")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError("gamma must lie in (0, 1)")
     lower = np.asarray(lower, dtype=float)
     gen = rng.generator()
     z = gen.standard_normal((b_prime, lower.shape[0]))
     sups = np.abs(z @ lower.T).max(axis=1)
     sups.sort()
-    index = math.ceil(gamma * b_prime) - 1
-    return QuantileEstimate(gamma=gamma, q_hat=float(sups[index]), mc_draws=b_prime)
+    return sup_quantile(sups, gamma)
 
 
 def build_band(

@@ -26,13 +26,7 @@ from .calibration import (
     pips_probabilities,
     poisson_from_cps_inclusion,
 )
-from .inference import (
-    CovarianceEstimate,
-    cholesky_psd,
-    estimate_cov_hajek,
-    estimate_cov_ht,
-    simulate_sup_quantile,
-)
+from .inference import simulate_sup_norms, sup_quantile
 from .processes import ThresholdGrid, hajek_evaluate, htep_evaluate, sup_norm_cdf
 from .samplers import (
     RngStream,
@@ -105,8 +99,6 @@ class ReplicationRecord:
     sup_hajek: float
     q_ht: tuple[float, ...]
     q_hajek: tuple[float, ...]
-    jitter_ht: float
-    jitter_hajek: float
 
     def covered_ht(self, level_index: int) -> bool:
         return self.sup_ht <= self.q_ht[level_index]
@@ -168,11 +160,10 @@ def run_replication(
     population: PopulationFrame | None = None,
 ) -> ReplicationRecord:
     """One full pass: population, calibration, sample, sup statistics,
-    covariance estimation, and quantile simulation at every level.
+    and Gaussian sup-quantile simulation at every level.
 
-    Both covariance factors are pushed through the same Gaussian
-    substream, so the two estimators' quantiles come from one shared
-    set of standard normal vectors.
+    The two estimators' quantiles come from one shared set of standard
+    normal vectors, drawn once per replication.
     """
     rng = RngStream(config.master_seed).substream(rep_index)
     if population is None:
@@ -190,38 +181,21 @@ def run_replication(
     sup_ht = sup_norm_cdf(htep_evaluate(population, incl, sample, grid))
     sup_hajek = sup_norm_cdf(hajek_evaluate(population, incl, sample, grid))
 
-    thresholds = np.sort(population.y[sample.s == 1])
-    if float((incl.pi * (1.0 - incl.pi)).sum()) == 0.0:
-        zero = np.zeros((n, n))
-        cov_ht = CovarianceEstimate(matrix=zero, kind="HT", thresholds=thresholds)
-        cov_hajek = CovarianceEstimate(
-            matrix=zero, kind="HAJEK", thresholds=thresholds
-        )
-    else:
-        cov_ht = estimate_cov_ht(population, incl, sample, thresholds)
-        cov_hajek = estimate_cov_hajek(population, incl, sample, thresholds)
-    factor_ht = cholesky_psd(cov_ht)
-    factor_hajek = cholesky_psd(cov_hajek)
-
-    gauss = rng.substream(2)
-    q_ht = tuple(
-        simulate_sup_quantile(factor_ht.lower, g, config.quantile_draws, gauss).q_hat
-        for g in config.levels
-    )
-    q_hajek = tuple(
-        simulate_sup_quantile(
-            factor_hajek.lower, g, config.quantile_draws, gauss
-        ).q_hat
-        for g in config.levels
+    sampled = sample.s == 1
+    sups_ht, sups_hajek = simulate_sup_norms(
+        population.y[sampled],
+        incl.pi[sampled],
+        float((incl.pi * (1.0 - incl.pi)).sum()),
+        population.size,
+        config.quantile_draws,
+        rng.substream(2),
     )
     return ReplicationRecord(
         rep_index=rep_index,
         sup_ht=sup_ht,
         sup_hajek=sup_hajek,
-        q_ht=q_ht,
-        q_hajek=q_hajek,
-        jitter_ht=factor_ht.jitter,
-        jitter_hajek=factor_hajek.jitter,
+        q_ht=tuple(sup_quantile(sups_ht, g).q_hat for g in config.levels),
+        q_hajek=tuple(sup_quantile(sups_hajek, g).q_hat for g in config.levels),
     )
 
 

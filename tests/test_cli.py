@@ -10,6 +10,8 @@ import pytest
 
 from cpsband.cli import THREADS_ENV_VAR, main
 
+from helpers import weighted_cdf_counts_brute
+
 
 @pytest.fixture()
 def population_csv(tmp_path):
@@ -165,3 +167,51 @@ def test_band_rejects_mismatched_sample(population_csv, tmp_path, capsys):
     ])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("estimator", ["ht", "hajek"])
+def test_band_on_census_sample_has_zero_width(tmp_path, capsys, estimator):
+    # With every unit sampled, π ≡ 1: the process and the simulated sup
+    # quantile are both exactly 0.
+    rng = np.random.default_rng(8)
+    x = rng.lognormal(0, 1, 30)
+    population = tmp_path / "population.csv"
+    population.write_text("unit,y,x\n" + "".join(
+        f"{i},{float(v)!r},{float(w)!r}\n"
+        for i, (v, w) in enumerate(zip(x + rng.normal(0, x), x))
+    ))
+    sample = tmp_path / "sample.csv"
+    sample.write_text("unit,s\n" + "".join(f"{i},1\n" for i in range(30)))
+    out = tmp_path / "band.csv"
+    assert main([
+        "band", "--population", str(population), "--sample", str(sample),
+        "--estimator", estimator, "--out", str(out),
+    ]) == 0
+    stdout = capsys.readouterr().out
+    assert "q_hat=0.000000 covered=True width=0.000000" in stdout
+    for row in read_rows(out):
+        assert row["lower"] == row["center"] == row["upper"]
+
+
+@pytest.mark.parametrize("estimator", ["ht", "hajek"])
+def test_band_center_is_the_estimated_cdf(population_csv, tmp_path, estimator):
+    sample_out = tmp_path / "sample.csv"
+    main([
+        "sample", "--population", str(population_csv),
+        "--size", "8", "--seed", "2", "--out", str(sample_out),
+    ])
+    band_out = tmp_path / "band.csv"
+    assert main([
+        "band", "--population", str(population_csv), "--sample",
+        str(sample_out), "--estimator", estimator, "--out", str(band_out),
+    ]) == 0
+    population = read_rows(population_csv)
+    y = np.array([float(r["y"]) for r in population])
+    rows = read_rows(sample_out)
+    weights = np.array([int(r["s"]) / float(r["pi"]) for r in rows])
+    weights /= weights.sum() if estimator == "hajek" else len(y)
+    band = read_rows(band_out)
+    t = np.array([float(r["t"]) for r in band])
+    want = weighted_cdf_counts_brute(y, weights, t)
+    got = np.array([float(r["center"]) for r in band])
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +19,6 @@ from cpsband import (
     SampleIndicators,
     ThresholdGrid,
     build_band,
-    cholesky_psd,
     coverage_check,
     cps_sample_sequential,
     enumerate_cps_distribution,
@@ -25,11 +26,17 @@ from cpsband import (
     estimate_cov_ht,
     exact_design_moments,
     exact_inclusion_orders,
+    generate_population,
     htep_evaluate,
     limit_cov_hajek,
     limit_cov_ht,
+    pips_probabilities,
+    poisson_from_cps_inclusion,
+    simulate_sup_norms,
     simulate_sup_quantile,
+    sup_quantile,
 )
+from cpsband.inference import _gaussian_paths, _z_scores
 
 from conftest import design_with_population
 
@@ -148,38 +155,6 @@ class TestLimitCovariance:
 
 
 class TestCholesky:
-    def test_reconstructs_psd_matrix(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(6, 6))
-        m = a @ a.T
-        est = CovarianceEstimate(
-            matrix=m, kind="HT", thresholds=np.arange(6.0)
-        )
-        factor = cholesky_psd(est)
-        np.testing.assert_allclose(
-            factor.lower @ factor.lower.T, m, atol=1e-8
-        )
-        assert factor.jitter == 0.0
-
-    def test_singular_matrix_needs_jitter(self):
-        ones = np.ones((4, 4))
-        est = CovarianceEstimate(
-            matrix=ones, kind="HT", thresholds=np.arange(4.0)
-        )
-        factor = cholesky_psd(est)
-        assert factor.jitter > 0.0
-        np.testing.assert_allclose(
-            factor.lower @ factor.lower.T, ones, atol=1e-6
-        )
-
-    def test_zero_matrix_short_circuits(self):
-        est = CovarianceEstimate(
-            matrix=np.zeros((3, 3)), kind="HAJEK", thresholds=np.arange(3.0)
-        )
-        factor = cholesky_psd(est)
-        np.testing.assert_array_equal(factor.lower, np.zeros((3, 3)))
-        assert factor.jitter == 0.0
-
     def test_asymmetric_matrix_rejected_at_construction(self):
         bad = np.array([[1.0, 0.5], [0.2, 1.0]])
         with pytest.raises(ValueError):
@@ -211,6 +186,112 @@ class TestSupQuantile:
     def test_rejects_tiny_monte_carlo(self):
         with pytest.raises(ValueError):
             simulate_sup_quantile(np.eye(2), 0.9, 50, RngStream(0))
+        with pytest.raises(ValueError):
+            simulate_sup_norms(
+                np.arange(2.0), np.full(2, 0.5), 1.0, 4, 50, RngStream(0)
+            )
+
+    def test_order_statistic_rule(self):
+        # Index ceil(gamma·B') − 1 of the sorted sups.
+        sups = np.arange(1.0, 101.0)
+        assert sup_quantile(sups, 0.95).q_hat == 95.0
+        assert sup_quantile(sups, 0.951).q_hat == 96.0
+        assert sup_quantile(sups, 0.95).mc_draws == 100
+        with pytest.raises(ValueError):
+            sup_quantile(sups, 1.0)
+
+
+def sampled_design(pop, params, incl, seed):
+    """One drawn sample, its sampled y and π, and the size variance d_N."""
+    s = cps_sample_sequential(params, RngStream(seed))
+    sampled = s.s == 1
+    d_n = float((incl.pi * (1.0 - incl.pi)).sum())
+    return s, pop.y[sampled], incl.pi[sampled], d_n
+
+
+class TestFactorFreeDraws:
+    """The Gaussian paths ξA behind simulate_sup_norms, checked through
+    ξ = I, where they are A itself."""
+
+    @given(
+        design_with_population(min_units=4),
+        st.integers(0, 500),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=60)
+    def test_square_root_reproduces_plug_in_covariances(
+        self, args, seed, proportional, tie
+    ):
+        pop, params, incl = args
+        if proportional:
+            incl = pips_probabilities(pop.x, params.n)
+            params = poisson_from_cps_inclusion(incl)
+        s, y_s, pi_s, d_n = sampled_design(pop, params, incl, seed)
+        if tie:
+            # Each odd-placed sampled unit takes the y of the one before.
+            sampled = np.flatnonzero(s.s == 1)
+            y = pop.y.copy()
+            y[sampled[1::2]] = y[sampled[:-1:2]]
+            pop = PopulationFrame(y=y, x=pop.x)
+            y_s = y[sampled]
+        a_ht, a_hajek = _gaussian_paths(
+            np.eye(y_s.shape[0]), y_s, pi_s, d_n, pop.size
+        )
+        thresholds = np.sort(y_s)
+        # Relative to the size of the terms before they cancel: Σ_k w_k Z²
+        # with Z = I − π·slope replaced by I + π·slope.  Some designs
+        # (n = 1) give an estimate of exactly 0.
+        z, weight = _z_scores(pop, incl, s, thresholds)
+        ind = y_s[:, None] <= thresholds[None, :]
+        size_ht = ind + np.abs(ind - z)
+        n_hat = float((1.0 / pi_s).sum())
+        size_hajek = size_ht + (1.0 / pi_s) @ size_ht / n_hat
+        for a, est, size, norm in (
+            (a_ht, estimate_cov_ht(pop, incl, s, thresholds), size_ht, pop.size),
+            (a_hajek, estimate_cov_hajek(pop, incl, s, thresholds), size_hajek, n_hat),
+        ):
+            scale = (weight @ size**2).max() / norm
+            assert np.abs(a.T @ a - est.matrix).max() <= 1e-12 * scale
+
+    def test_equal_inclusion_makes_both_sups_coincide(self):
+        n_units, n = 300, 30
+        y = RngStream(43).generator().normal(size=n_units)
+        pop = PopulationFrame(y=y, x=np.ones(n_units))
+        pi = np.full(n_units, n / n_units)
+        params = CanonicalPoissonParams(p=pi, n=n)
+        incl = InclusionProbabilities(pi=pi, n=n)
+        _, y_s, pi_s, d_n = sampled_design(pop, params, incl, 3)
+        ht, hajek = simulate_sup_norms(y_s, pi_s, d_n, n_units, 500, RngStream(8))
+        assert np.all(ht > 0.0)
+        np.testing.assert_allclose(ht, hajek, rtol=0.0, atol=1e-12)
+
+    def test_same_stream_gives_identical_sups(self):
+        pop = generate_population(80, RngStream(44))
+        incl = pips_probabilities(pop.x, 12)
+        params = poisson_from_cps_inclusion(incl)
+        _, y_s, pi_s, d_n = sampled_design(pop, params, incl, 5)
+        first = simulate_sup_norms(y_s, pi_s, d_n, 80, 300, RngStream(2))
+        second = simulate_sup_norms(y_s, pi_s, d_n, 80, 300, RngStream(2))
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+            assert np.all(np.diff(a) >= 0.0)
+        assert not np.array_equal(first[0], first[1])
+
+    def test_no_quadratic_memory(self):
+        # An n×n float64 array at n = 4000 takes 128 MB; the B'×n draws
+        # take 3.2 MB.
+        n, n_units = 4000, 100_000
+        y = RngStream(45).generator().normal(size=n)
+        pi = np.full(n, n / n_units)
+        d_n = n_units * (n / n_units) * (1.0 - n / n_units)
+        tracemalloc.start()
+        try:
+            simulate_sup_norms(y, pi, d_n, n_units, 100, RngStream(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 def test_band_construction_and_closed_coverage():

@@ -10,8 +10,8 @@ Covers three distinct conversions:
   parameters (sum p = n) that induce given fixed-size inclusion
   probabilities.
 
-Plus the scalar helpers used by the large-sample covariance formulas:
-the weight-truncation constant and the truncated weight itself.
+Plus the weight-truncation constant θ of the large-sample covariance
+formulas, which inference.limit_cov_ht and limit_cov_hajek take.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ __all__ = [
     "cps_inclusion_from_poisson",
     "poisson_from_cps_inclusion",
     "solve_truncation_constant",
-    "truncated_weight",
-    "poisson_size_variance",
 ]
 
 SUM_TOL = 1e-9
@@ -442,16 +440,3 @@ def solve_truncation_constant(alpha: float, w_samples: np.ndarray) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def truncated_weight(w, theta: float, mean_w: float):
-    """Cap weights at mean_w / theta: min(w, mean_w / theta)."""
-    if theta <= 0 or mean_w <= 0:
-        raise CalibrationError("theta and mean_w must be positive")
-    return np.minimum(w, mean_w / theta)
-
-
-def poisson_size_variance(params: CanonicalPoissonParams) -> float:
-    """Variance of the random sample size of the independent design:
-    sum p_i (1 - p_i)."""
-    return float(np.sum(params.p * (1.0 - params.p)))

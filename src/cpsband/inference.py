@@ -7,14 +7,15 @@ no covariance to form or factorize.  The simulated sup quantile gives a
 uniform band of half-width q_hat / sqrt(N) around the estimated CDF.
 Both process variants share one set of Gaussian draws, which keeps
 their quantiles comparable replication by replication.  The n×n
-estimates are the reference that AᵀA is tested against.
+estimates are the reference that AᵀA is tested against, and the
+analytic limit covariance of the functional CLT is what they converge to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .samplers import RngStream, SampleIndicators
 
 __all__ = [
     "ConfidenceBand",
-    "CovarianceEstimate",
     "LimitCovariance",
     "QuantileEstimate",
     "build_band",
@@ -37,38 +37,12 @@ __all__ = [
     "limit_cov_hajek",
     "limit_cov_ht",
     "simulate_sup_norms",
-    "simulate_sup_quantile",
     "sup_quantile",
 ]
 
 # A population model draws (y, x) pairs; see sim harness for the
 # reference implementation.
 PopulationModel = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
-
-
-@dataclass(frozen=True)
-class CovarianceEstimate:
-    """Estimated covariance of a process on sampled thresholds."""
-
-    matrix: np.ndarray
-    kind: Literal["HT", "HAJEK"]
-    thresholds: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        thr = np.asarray(self.thresholds, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if thr.shape != (m.shape[0],):
-            raise ValueError("one threshold per matrix row is required")
-        if np.abs(m - m.T).max(initial=0.0) > 1e-12:
-            raise ValueError("matrix must be symmetric")
-        object.__setattr__(self, "matrix", _frozen_array(m, float))
-        object.__setattr__(self, "thresholds", _frozen_array(thr, float))
-
-    @property
-    def order(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -119,14 +93,13 @@ class ConfidenceBand:
         return np.clip(self.center + self.halfwidth, 0.0, 1.0)
 
 
-def _z_scores(
+def _sampled_indicators(
     pop: PopulationFrame,
     pi: InclusionProbabilities,
     s: SampleIndicators,
     thresholds: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Z_{k,r} = I(Y_k <= t_r) − π_k · (HT slope estimate at t_r), for the
-    sampled units k only, plus their per-unit quadratic weights."""
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """I(Y_k <= t_r) of the sampled units k, their π, and d_N = Σ_U π(1−π)."""
     thr = np.asarray(thresholds, dtype=float)
     if thr.ndim != 1 or thr.shape[0] < 1:
         raise ValueError("thresholds must be a nonempty 1-d array")
@@ -134,12 +107,22 @@ def _z_scores(
     if d_n == 0.0:
         raise ValueError("design has zero size variance; no covariance to estimate")
     sampled = np.flatnonzero(s.s == 1)
-    pi_s = pi.pi[sampled]
-    ind = pop.y[sampled, None] <= thr[None, :]
-    slope = ((1.0 - pi_s) / pi_s) @ ind / d_n
-    z = ind - pi_s[:, None] * slope[None, :]
+    ind = (pop.y[sampled, None] <= thr[None, :]).astype(float)
+    return ind, pi.pi[sampled], d_n
+
+
+def _z_scores(values: np.ndarray, pi_s: np.ndarray, d_n: float) -> np.ndarray:
+    """Z = v − π·slope, slope = Σ_s ((1−π)/π) v / d_N: the sampled values v
+    with their projection on the sample-size overshoot removed."""
+    slope = ((1.0 - pi_s) / pi_s) @ values / d_n
+    return values - pi_s[:, None] * slope[None, :]
+
+
+def _plug_in(z: np.ndarray, pi_s: np.ndarray, norm: float) -> np.ndarray:
+    """norm^{-1} Σ_k ((1−π_k)/π_k²) Z_{k,r} Z_{k,c}, symmetrized."""
     weight = (1.0 - pi_s) / pi_s**2
-    return z, weight
+    matrix = (z * weight[:, None]).T @ z / norm
+    return (matrix + matrix.T) / 2.0
 
 
 def estimate_cov_ht(
@@ -147,13 +130,11 @@ def estimate_cov_ht(
     pi: InclusionProbabilities,
     s: SampleIndicators,
     sampled_thresholds: np.ndarray,
-) -> CovarianceEstimate:
+) -> np.ndarray:
     """Plug-in covariance of the Horvitz-Thompson process on the sampled
     thresholds: N^{-1} Σ_k s_k ((1−π_k)/π_k²) Z_{k,r} Z_{k,c}."""
-    z, weight = _z_scores(pop, pi, s, sampled_thresholds)
-    matrix = (z * weight[:, None]).T @ z / pop.size
-    matrix = (matrix + matrix.T) / 2.0
-    return CovarianceEstimate(matrix=matrix, kind="HT", thresholds=sampled_thresholds)
+    ind, pi_s, d_n = _sampled_indicators(pop, pi, s, sampled_thresholds)
+    return _plug_in(_z_scores(ind, pi_s, d_n), pi_s, pop.size)
 
 
 def estimate_cov_hajek(
@@ -161,22 +142,19 @@ def estimate_cov_hajek(
     pi: InclusionProbabilities,
     s: SampleIndicators,
     sampled_thresholds: np.ndarray,
-) -> CovarianceEstimate:
-    """As estimate_cov_ht but with the Z scores centered at their
-    HT-weighted mean and normalization by N̂ = Σ s_k/π_k."""
-    z, weight = _z_scores(pop, pi, s, sampled_thresholds)
-    sampled = np.flatnonzero(s.s == 1)
-    inv_pi = 1.0 / pi.pi[sampled]
+) -> np.ndarray:
+    """As estimate_cov_ht, normalized by N̂ = Σ s_k/π_k, with the indicators
+    centered at the Hájek CDF F̂_r = Σ_s (1/π) I(y <= t_r) / N̂ before the
+    projection: the fixed-size variance ignores multiples of π but not
+    constants, and the projection of 1, 1 − π_k c with
+    c = Σ_s ((1−π)/π) / d_N, vanishes only under equal π."""
+    ind, pi_s, d_n = _sampled_indicators(pop, pi, s, sampled_thresholds)
+    inv_pi = 1.0 / pi_s
     n_hat = float(inv_pi.sum())
     if n_hat == 0.0:
         raise ValueError("estimated population size is zero (empty sample)")
-    z_bar = inv_pi @ z / n_hat
-    centered = z - z_bar[None, :]
-    matrix = (centered * weight[:, None]).T @ centered / n_hat
-    matrix = (matrix + matrix.T) / 2.0
-    return CovarianceEstimate(
-        matrix=matrix, kind="HAJEK", thresholds=sampled_thresholds
-    )
+    z = _z_scores(ind - inv_pi @ ind / n_hat, pi_s, d_n)
+    return _plug_in(z, pi_s, n_hat)
 
 
 class LimitCovariance(NamedTuple):
@@ -265,10 +243,13 @@ def _gaussian_paths(
 
     Column j of ξ weights the j-th sampled unit in y order.  With
     w = (1−π)/π² and Z the Z scores of estimate_cov_ht, A = diag(√w) Z/√N
-    has AᵀA = estimate_cov_ht; centering Z as estimate_cov_hajek does and
-    N̂ in place of N give the Hájek one.  I(y_k <= t_r) selects a prefix
-    of the sorted units, so ξA is a cumulative sum minus rank-one terms,
-    read at the last unit of each tie group.
+    has AᵀA = estimate_cov_ht.  The Hájek A takes the Z scores of the
+    indicators centered at F̂_r = Σ_s (1/π) I(y <= t_r) / N̂, that is
+    Z_{k,r} − F̂_r (1 − π_k c) with c = Σ_s ((1−π)/π) / d_N the last HT
+    slope, and N̂ in place of N; its AᵀA is estimate_cov_hajek.
+    I(y_k <= t_r) selects a prefix of the sorted units, so ξA is a
+    cumulative sum minus rank-one terms, read at the last unit of each
+    tie group.
     """
     order = np.argsort(y_s, kind="stable")
     y = y_s[order]
@@ -278,15 +259,16 @@ def _gaussian_paths(
     slope = np.cumsum((1.0 - pi) / pi) / (d_n or 1.0)
     inv_pi = 1.0 / pi
     n_hat = float(inv_pi.sum())
-    z_bar = (np.cumsum(inv_pi) - y.shape[0] * slope) / n_hat
+    f_hat = np.cumsum(inv_pi) / n_hat
     xi *= np.sqrt(1.0 - pi) / pi
-    u_pi, u_sum = xi @ pi, xi.sum(axis=1)
+    u_pi = xi @ pi
+    u_one = xi.sum(axis=1) - slope[-1] * u_pi
     np.cumsum(xi, axis=1, out=xi)
     rank_one = np.multiply.outer(u_pi, slope)
     xi -= rank_one
     g_ht = xi[:, last]
     g_ht /= math.sqrt(n_units)
-    np.multiply.outer(u_sum, z_bar, out=rank_one)
+    np.multiply.outer(u_one, f_hat, out=rank_one)
     xi -= rank_one
     g_hajek = xi[:, last]
     g_hajek /= math.sqrt(n_hat)
@@ -326,27 +308,6 @@ def sup_quantile(sorted_sups: np.ndarray, gamma: float) -> QuantileEstimate:
     return QuantileEstimate(
         gamma=gamma, q_hat=float(sorted_sups[index]), mc_draws=b_prime
     )
-
-
-def simulate_sup_quantile(
-    lower: np.ndarray,
-    gamma: float,
-    b_prime: int,
-    rng: RngStream,
-) -> QuantileEstimate:
-    """Simulated gamma-quantile of max_r |(L Z)_r| over standard normal Z.
-
-    Draws depend only on the stream and the matrix order, so factors of
-    equal size handed the same stream see identical Gaussian vectors.
-    """
-    if b_prime < 100:
-        raise ValueError("b_prime must be at least 100")
-    lower = np.asarray(lower, dtype=float)
-    gen = rng.generator()
-    z = gen.standard_normal((b_prime, lower.shape[0]))
-    sups = np.abs(z @ lower.T).max(axis=1)
-    sups.sort()
-    return sup_quantile(sups, gamma)
 
 
 def build_band(

@@ -10,27 +10,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
-from .calibration import (
-    CanonicalPoissonParams,
-    InclusionProbabilities,
-    PopulationFrame,
-    _frozen_array,
-)
+from .calibration import InclusionProbabilities, PopulationFrame, _frozen_array
 from .samplers import SampleIndicators
 
 __all__ = [
     "ProcessEvaluation",
     "ThresholdGrid",
-    "centered_process_evaluate",
     "hajek_evaluate",
     "htep_evaluate",
-    "poisson_projection_variance",
-    "projection_residual_R",
-    "projection_statistic_T",
     "sup_norm_cdf",
 ]
 
@@ -68,7 +58,6 @@ class ProcessEvaluation:
     grid: ThresholdGrid
     values: np.ndarray
     values_left: np.ndarray
-    kind: Literal["HTEP", "HEP", "CENTERED"]
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -112,9 +101,7 @@ def htep_evaluate(
     weights = s.s / pi.pi - 1.0
     scale = 1.0 / math.sqrt(pop.size)
     right, left = _weighted_counts(pop.y, weights, grid.t)
-    return ProcessEvaluation(
-        grid=grid, values=scale * right, values_left=scale * left, kind="HTEP"
-    )
+    return ProcessEvaluation(grid=grid, values=scale * right, values_left=scale * left)
 
 
 def hajek_evaluate(
@@ -133,31 +120,7 @@ def hajek_evaluate(
     weights = (pop.size / n_hat) * (s.s / pi.pi) - 1.0
     scale = 1.0 / math.sqrt(pop.size)
     right, left = _weighted_counts(pop.y, weights, grid.t)
-    return ProcessEvaluation(
-        grid=grid, values=scale * right, values_left=scale * left, kind="HEP"
-    )
-
-
-def centered_process_evaluate(
-    pop: PopulationFrame,
-    pi: InclusionProbabilities,
-    s: SampleIndicators,
-    grid: ThresholdGrid,
-) -> ProcessEvaluation:
-    """The population-centered companion of the Hájek process:
-    N^{-1/2} Σ_i (S_i/π_i − 1)(I(y_i <= t) − F_N(t))."""
-    _check_lengths(pop, pi, s)
-    weights = s.s / pi.pi - 1.0
-    total = float(weights.sum())
-    scale = 1.0 / math.sqrt(pop.size)
-    right, left = _weighted_counts(pop.y, weights, grid.t)
-    ones = np.ones(pop.size)
-    count_right, count_left = _weighted_counts(pop.y, ones, grid.t)
-    values = scale * (right - total * count_right / pop.size)
-    values_left = scale * (left - total * count_left / pop.size)
-    return ProcessEvaluation(
-        grid=grid, values=values, values_left=values_left, kind="CENTERED"
-    )
+    return ProcessEvaluation(grid=grid, values=scale * right, values_left=scale * left)
 
 
 def sup_norm_cdf(ev: ProcessEvaluation) -> float:
@@ -170,47 +133,3 @@ def sup_norm_cdf(ev: ProcessEvaluation) -> float:
     return float(
         max(np.abs(ev.values).max(initial=0.0), np.abs(ev.values_left).max(initial=0.0))
     )
-
-
-def projection_residual_R(
-    f_values: np.ndarray, p: CanonicalPoissonParams
-) -> float:
-    """Slope of the projection of an independent-design estimator onto
-    the sample-size overshoot: Σ f_i (1−p_i) / Σ p_i(1−p_i), or 0 when
-    the design is deterministic."""
-    f = np.asarray(f_values, dtype=float)
-    if f.shape != p.p.shape:
-        raise ValueError("f_values and p lengths differ")
-    d_n = float((p.p * (1.0 - p.p)).sum())
-    if d_n == 0.0:
-        return 0.0
-    return float((f * (1.0 - p.p)).sum() / d_n)
-
-
-def projection_statistic_T(
-    f_values: np.ndarray, s: SampleIndicators, p: CanonicalPoissonParams
-) -> float:
-    """The independent-design estimator of mean(f) with its sample-size
-    component projected out:
-    N^{-1} Σ (S_i/p_i) f_i − (R/N) Σ (S_i − p_i)."""
-    f = np.asarray(f_values, dtype=float)
-    if f.shape != p.p.shape or s.s.shape != p.p.shape:
-        raise ValueError("f_values, sample, and p lengths differ")
-    n_units = p.p.shape[0]
-    r_slope = projection_residual_R(f, p)
-    ht_term = float((s.s / p.p * f).sum()) / n_units
-    overshoot = float((s.s - p.p).sum())
-    return ht_term - r_slope * overshoot / n_units
-
-
-def poisson_projection_variance(
-    f_values: np.ndarray, p: CanonicalPoissonParams
-) -> float:
-    """Variance of the projected estimator under the independent design:
-    N^{-1} Σ ((1−p_i)/p_i)(f_i − R·p_i)²."""
-    f = np.asarray(f_values, dtype=float)
-    if f.shape != p.p.shape:
-        raise ValueError("f_values and p lengths differ")
-    r_slope = projection_residual_R(f, p)
-    terms = (1.0 - p.p) / p.p * (f - r_slope * p.p) ** 2
-    return float(terms.sum() / p.p.shape[0])

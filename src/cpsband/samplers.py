@@ -1,4 +1,4 @@
-"""Samplers for the independent and conditioned fixed-size designs.
+"""Samplers for the conditioned fixed-size design.
 
 Two exact samplers realize the fixed-size law obtained by conditioning
 independent Bernoulli(p_i) indicators on their total: a rejection
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
 
 import numpy as np
 
@@ -22,7 +21,6 @@ from .calibration import CanonicalPoissonParams, _frozen_array
 from .esp import design_kernel
 
 __all__ = [
-    "FrequencyEstimate",
     "RngStream",
     "SampleIndicators",
     "SamplingError",
@@ -30,8 +28,6 @@ __all__ = [
     "cps_sample_rejection_batch",
     "cps_sample_sequential",
     "cps_sample_sequential_batch",
-    "estimate_inclusion_frequencies",
-    "poisson_sample",
 ]
 
 
@@ -80,13 +76,6 @@ class SampleIndicators:
     def from_array(cls, s: np.ndarray) -> "SampleIndicators":
         arr = np.asarray(s)
         return cls(s=arr, count=int(arr.sum()))
-
-
-def poisson_sample(params: CanonicalPoissonParams, rng: RngStream) -> SampleIndicators:
-    """Draw independent Bernoulli(p_i) indicators."""
-    gen = rng.generator()
-    s = gen.random(params.p.shape[0]) < params.p
-    return SampleIndicators.from_array(s)
 
 
 def _log_acceptance(params: CanonicalPoissonParams) -> float:
@@ -206,32 +195,3 @@ def cps_sample_sequential(
     """Draw one fixed-size sample without rejection; same law as
     cps_sample_rejection, O(N n) time."""
     return SampleIndicators.from_array(cps_sample_sequential_batch(params, rng, 1)[0])
-
-
-class FrequencyEstimate(NamedTuple):
-    freq: np.ndarray
-    stderr: np.ndarray
-    reps: int
-
-
-def estimate_inclusion_frequencies(
-    params: CanonicalPoissonParams,
-    reps: int,
-    rng: RngStream,
-    method: Literal["sequential", "rejection"] = "sequential",
-) -> FrequencyEstimate:
-    """Monte Carlo estimate of first-order inclusion probabilities.
-
-    Standard errors are the usual binomial ones, sqrt(f(1-f)/reps).
-    """
-    if reps < 1:
-        raise ValueError("reps must be at least 1")
-    if method == "sequential":
-        samples = cps_sample_sequential_batch(params, rng, reps)
-    elif method == "rejection":
-        samples = cps_sample_rejection_batch(params, rng, reps)
-    else:
-        raise ValueError(f"unknown sampling method {method!r}")
-    freq = samples.mean(axis=0)
-    stderr = np.sqrt(freq * (1.0 - freq) / reps)
-    return FrequencyEstimate(freq=freq, stderr=stderr, reps=reps)

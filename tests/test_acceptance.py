@@ -28,7 +28,8 @@ from cpsband import (
     pips_probabilities,
     poisson_from_cps_inclusion,
     run_experiment,
-    simulate_sup_quantile,
+    simulate_sup_norms,
+    sup_quantile,
     total_variation,
 )
 
@@ -180,7 +181,12 @@ def test_criterion_06_calibration_round_trip():
 
 
 def test_criterion_07_closed_form_quantile():
-    q = simulate_sup_quantile(np.array([[1.0]]), 0.95, 100_000, RngStream(2))
+    # One sampled unit with y = 0, π = 1/2, d_N = 1 and N = 4 has the HT
+    # path ξ·√2/4, so the scaled sups are |ξ| for standard normal ξ.
+    sups_ht, _ = simulate_sup_norms(
+        np.zeros(1), np.full(1, 0.5), 1.0, 4, 100_000, RngStream(2)
+    )
+    q = sup_quantile(sups_ht / (np.sqrt(2.0) / 4.0), 0.95)
     print(
         f"criterion 07: sup quantile r=1 gamma=0.95 = {q.q_hat:.5f} vs "
         "1.95996 +/-1.5%"

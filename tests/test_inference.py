@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 from cpsband import (
     CanonicalPoissonParams,
     ConfidenceBand,
-    CovarianceEstimate,
     InclusionProbabilities,
     PopulationFrame,
     QuantileEstimate,
@@ -21,6 +20,7 @@ from cpsband import (
     build_band,
     coverage_check,
     cps_sample_sequential,
+    cps_sample_sequential_batch,
     enumerate_cps_distribution,
     estimate_cov_hajek,
     estimate_cov_ht,
@@ -33,10 +33,10 @@ from cpsband import (
     pips_probabilities,
     poisson_from_cps_inclusion,
     simulate_sup_norms,
-    simulate_sup_quantile,
+    solve_truncation_constant,
     sup_quantile,
 )
-from cpsband.inference import _gaussian_paths, _z_scores
+from cpsband.inference import _gaussian_paths, _sampled_indicators, _z_scores
 
 from conftest import design_with_population
 
@@ -81,7 +81,7 @@ class TestCovarianceEstimators:
         for row, prob in zip(d.indicators, d.probability):
             s = SampleIndicators.from_array(row)
             est = estimate_cov_ht(pop, incl, s, np.array([0.8]))
-            acc += prob * est.matrix[0, 0]
+            acc += prob * est[0, 0]
         assert acc == pytest.approx(PIN_MEAN_ESTIMATE, abs=1e-12)
 
     @given(design_with_population(min_units=4), st.integers(0, 500))
@@ -96,14 +96,12 @@ class TestCovarianceEstimators:
             estimate_cov_ht(pop, incl, s, thresholds),
             estimate_cov_hajek(pop, incl, s, thresholds),
         ):
-            np.testing.assert_allclose(
-                estimate.matrix, estimate.matrix.T, atol=1e-12
-            )
-            assert np.all(np.diag(estimate.matrix) >= -1e-12)
+            np.testing.assert_allclose(estimate, estimate.T, atol=1e-12)
+            assert np.all(np.diag(estimate) >= -1e-12)
 
     def test_equal_inclusion_makes_both_estimators_coincide(self):
-        # With constant pi the weighted z-mean vanishes and N-hat = N,
-        # so the two plug-in covariances agree exactly.
+        # With constant pi the projection of the constant, 1 − π·c,
+        # vanishes and N-hat = N, so the two plug-in covariances agree.
         rng = RngStream(41)
         n_units, n = 60, 12
         gen = rng.generator()
@@ -115,7 +113,7 @@ class TestCovarianceEstimators:
         thresholds = np.sort(y[s.s == 1])
         ht = estimate_cov_ht(pop, incl, s, thresholds)
         hj = estimate_cov_hajek(pop, incl, s, thresholds)
-        np.testing.assert_allclose(ht.matrix, hj.matrix, atol=1e-12)
+        np.testing.assert_allclose(ht, hj, atol=1e-12)
 
     def test_zero_size_variance_is_rejected(self):
         pop = PopulationFrame(y=np.array([1.0, 2.0]), x=np.ones(2))
@@ -153,39 +151,74 @@ class TestLimitCovariance:
         )
         assert hj.value == pytest.approx(ht.value, abs=4 * ht.stderr + 1e-3)
 
+    @staticmethod
+    def bounded_size_model(gen, m):
+        # Bounded sizes keep the design weights 1/π within a factor 4, so
+        # the plug-in's design law is not too skewed for 25 draws a
+        # population; the harness's lognormal sizes reach weights ~10⁵/N.
+        x = gen.uniform(0.5, 2.0, size=m)
+        return x + gen.normal(0.0, x), x
 
-class TestCholesky:
-    def test_asymmetric_matrix_rejected_at_construction(self):
-        bad = np.array([[1.0, 0.5], [0.2, 1.0]])
-        with pytest.raises(ValueError):
-            CovarianceEstimate(matrix=bad, kind="HT", thresholds=np.arange(2.0))
+    def test_plug_in_converges_to_limit(self):
+        # The mean plug-in variance over CPS samples of proportional
+        # designs at N = 4000, alpha = 0.1 against the analytic limit with
+        # θ solved from the size law; 8 populations × 25 samples, within
+        # 4 standard errors of the between-population spread and the
+        # limit's own Monte Carlo error.
+        n_units, alpha, populations, draws = 4000, 0.1, 8, 25
+        thresholds = np.array([0.5, 1.0, 2.5])
+        root = RngStream(2026)
+        _, sizes = self.bounded_size_model(root.substream(0).generator(), 200_000)
+        theta = solve_truncation_constant(alpha, sizes)
+        pairs = ((estimate_cov_ht, limit_cov_ht), (estimate_cov_hajek, limit_cov_hajek))
+        means = np.empty((len(pairs), populations, thresholds.shape[0]))
+        for k in range(populations):
+            y, x = self.bounded_size_model(root.substream(1, k).generator(), n_units)
+            pop = PopulationFrame(y=y, x=x)
+            incl = pips_probabilities(x, round(alpha * n_units))
+            params = poisson_from_cps_inclusion(incl)
+            samples = cps_sample_sequential_batch(params, root.substream(2, k), draws)
+            for i, (estimate, _) in enumerate(pairs):
+                means[i, k] = np.mean([
+                    np.diag(estimate(pop, incl, SampleIndicators.from_array(s), thresholds))
+                    for s in samples
+                ], axis=0)
+        for i, (_, limit_cov) in enumerate(pairs):
+            for j, t in enumerate(thresholds):
+                f = lambda y, t=t: (y <= t).astype(float)
+                limit = limit_cov(
+                    f, f, self.bounded_size_model, theta, 200_000, root.substream(3)
+                )
+                spread = means[i, :, j].std(ddof=1) / np.sqrt(populations)
+                gap = means[i, :, j].mean() - limit.value
+                assert abs(gap) <= 4 * np.hypot(spread, limit.stderr), (limit_cov, t)
+
+
+def one_unit_abs_normals(b_prime, rng):
+    """|ξ| for B' standard normals ξ, sorted, through simulate_sup_norms:
+    one sampled unit with y = 0, π = ½, d_N = 1 and N = 4 has Z = ½ and
+    the HT path ξ·(√½/½)·½/√4 = ξ·√2/4."""
+    sups_ht, _ = simulate_sup_norms(
+        np.zeros(1), np.full(1, 0.5), 1.0, 4, b_prime, rng
+    )
+    return sups_ht / (np.sqrt(2.0) / 4.0)
 
 
 class TestSupQuantile:
     def test_univariate_matches_normal_quantile(self):
-        lower = np.array([[1.0]])
-        q = simulate_sup_quantile(lower, 0.95, 50_000, RngStream(5))
+        q = sup_quantile(one_unit_abs_normals(50_000, RngStream(5)), 0.95)
         assert q.q_hat == pytest.approx(1.959964, rel=0.02)
 
     def test_monotone_in_gamma(self):
-        rng = np.random.default_rng(12)
-        a = rng.normal(size=(5, 5))
-        lower = np.linalg.cholesky(a @ a.T + np.eye(5))
-        qs = [
-            simulate_sup_quantile(lower, g, 4000, RngStream(9)).q_hat
-            for g in (0.5, 0.8, 0.9, 0.99)
-        ]
-        assert qs == sorted(qs)
-
-    def test_deterministic_for_fixed_stream(self):
-        lower = np.eye(3)
-        a = simulate_sup_quantile(lower, 0.9, 2000, RngStream(2))
-        b = simulate_sup_quantile(lower, 0.9, 2000, RngStream(2))
-        assert a.q_hat == b.q_hat
+        pop = generate_population(60, RngStream(12))
+        incl = pips_probabilities(pop.x, 5)
+        params = poisson_from_cps_inclusion(incl)
+        _, y_s, pi_s, d_n = sampled_design(pop, params, incl, 9)
+        for sups in simulate_sup_norms(y_s, pi_s, d_n, 60, 4000, RngStream(9)):
+            qs = [sup_quantile(sups, g).q_hat for g in (0.5, 0.8, 0.9, 0.99)]
+            assert qs == sorted(qs)
 
     def test_rejects_tiny_monte_carlo(self):
-        with pytest.raises(ValueError):
-            simulate_sup_quantile(np.eye(2), 0.9, 50, RngStream(0))
         with pytest.raises(ValueError):
             simulate_sup_norms(
                 np.arange(2.0), np.full(2, 0.5), 1.0, 4, 50, RngStream(0)
@@ -207,6 +240,24 @@ def sampled_design(pop, params, incl, seed):
     sampled = s.s == 1
     d_n = float((incl.pi * (1.0 - incl.pi)).sum())
     return s, pop.y[sampled], incl.pi[sampled], d_n
+
+
+class TestHajekCentering:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=50)
+    def test_variance_vanishes_at_top_threshold(self, seed):
+        # At t >= every sampled y the Hájek CDF estimate is 1 in every
+        # sample, so its plug-in variance and its Gaussian path are 0
+        # there, relative to Σ_s (1−π)/π².
+        pop = generate_population(40, RngStream(seed))
+        incl = pips_probabilities(pop.x, 8)
+        params = poisson_from_cps_inclusion(incl)
+        s, y_s, pi_s, d_n = sampled_design(pop, params, incl, seed)
+        scale = float(((1.0 - pi_s) / pi_s**2).sum())
+        variance = estimate_cov_hajek(pop, incl, s, np.sort(y_s))[-1, -1]
+        assert abs(variance) <= 1e-12 * scale
+        _, path = _gaussian_paths(np.eye(y_s.shape[0]), y_s, pi_s, d_n, pop.size)
+        assert np.abs(path[:, -1]).max() <= 1e-12 * np.sqrt(scale)
 
 
 class TestFactorFreeDraws:
@@ -240,19 +291,23 @@ class TestFactorFreeDraws:
         )
         thresholds = np.sort(y_s)
         # Relative to the size of the terms before they cancel: Σ_k w_k Z²
-        # with Z = I − π·slope replaced by I + π·slope.  Some designs
-        # (n = 1) give an estimate of exactly 0.
-        z, weight = _z_scores(pop, incl, s, thresholds)
-        ind = y_s[:, None] <= thresholds[None, :]
-        size_ht = ind + np.abs(ind - z)
+        # with every difference in Z replaced by a sum, so HT's
+        # Z = I − π·slope by I + π·slope and Hájek's Z − F̂ (1 − π c) by
+        # that plus F̂ (1 + π c).  Some designs (n = 1) give an estimate of
+        # exactly 0.
+        ind, _, _ = _sampled_indicators(pop, incl, s, thresholds)
+        size_ht = ind + np.abs(ind - _z_scores(ind, pi_s, d_n))
         n_hat = float((1.0 / pi_s).sum())
-        size_hajek = size_ht + (1.0 / pi_s) @ size_ht / n_hat
+        one = np.ones((pi_s.shape[0], 1))
+        size_one = one + np.abs(one - _z_scores(one, pi_s, d_n))
+        size_hajek = size_ht + size_one * ((1.0 / pi_s) @ ind / n_hat)
+        weight = (1.0 - pi_s) / pi_s**2
         for a, est, size, norm in (
             (a_ht, estimate_cov_ht(pop, incl, s, thresholds), size_ht, pop.size),
             (a_hajek, estimate_cov_hajek(pop, incl, s, thresholds), size_hajek, n_hat),
         ):
             scale = (weight @ size**2).max() / norm
-            assert np.abs(a.T @ a - est.matrix).max() <= 1e-12 * scale
+            assert np.abs(a.T @ a - est).max() <= 1e-12 * scale
 
     def test_equal_inclusion_makes_both_sups_coincide(self):
         n_units, n = 300, 30

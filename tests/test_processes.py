@@ -7,18 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpsband import (
-    CanonicalPoissonParams,
     InclusionProbabilities,
     PopulationFrame,
     SampleIndicators,
     ThresholdGrid,
-    centered_process_evaluate,
     cps_sample_sequential,
     hajek_evaluate,
     htep_evaluate,
-    poisson_projection_variance,
-    projection_residual_R,
-    projection_statistic_T,
     sup_norm_cdf,
 )
 from cpsband.samplers import RngStream
@@ -70,22 +65,6 @@ def test_hajek_matches_brute_force(args, seed):
 
 
 @given(design_with_population(), st.integers(0, 1000))
-@settings(max_examples=60)
-def test_hajek_is_scaled_centered_process(args, seed):
-    # With scaling N / N-hat the Hajek process is exactly the centered
-    # one times N / N-hat.
-    pop, params, incl = args
-    s = draw_sample(params, seed)
-    grid = ThresholdGrid.from_population(pop.y)
-    hj = hajek_evaluate(pop, incl, s, grid)
-    ce = centered_process_evaluate(pop, incl, s, grid)
-    n_hat = float((s.s / incl.pi).sum())
-    np.testing.assert_allclose(
-        hj.values, (pop.size / n_hat) * ce.values, atol=1e-10
-    )
-
-
-@given(design_with_population(), st.integers(0, 1000))
 @settings(max_examples=40)
 def test_sup_norm_beats_dense_grid(args, seed):
     pop, params, incl = args
@@ -127,55 +106,6 @@ def test_census_process_vanishes():
     grid = ThresholdGrid.from_population(pop.y)
     assert sup_norm_cdf(htep_evaluate(pop, incl, s, grid)) == 0.0
     assert sup_norm_cdf(hajek_evaluate(pop, incl, s, grid)) == 0.0
-
-
-class TestProjection:
-    # Fixed instance with hand-checkable sums.
-    params = CanonicalPoissonParams(
-        p=np.array([0.25, 0.35, 0.45, 0.55, 0.65, 0.75]), n=3
-    )
-    f = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-
-    def test_residual_formula(self):
-        p = self.params.p
-        want = (self.f * (1 - p)).sum() / (p * (1 - p)).sum()
-        assert projection_residual_R(self.f, self.params) == pytest.approx(
-            want, abs=1e-14
-        )
-
-    def test_statistic_at_full_sample(self):
-        s = SampleIndicators.from_array(np.ones(6, dtype=int))
-        got = projection_statistic_T(self.f, s, self.params)
-        p = self.params.p
-        r = projection_residual_R(self.f, self.params)
-        want = (self.f / p).sum() / 6 - (r / 6) * (1 - p).sum()
-        assert got == pytest.approx(want, abs=1e-14)
-
-    def test_variance_formula(self):
-        p = self.params.p
-        r = projection_residual_R(self.f, self.params)
-        want = ((1 - p) / p * (self.f - r * p) ** 2).sum() / 6
-        assert poisson_projection_variance(self.f, self.params) == pytest.approx(
-            want, abs=1e-14
-        )
-
-    def test_statistic_centers_on_population_mean(self):
-        # Monte Carlo mean of T over Poisson draws equals mean(f): the
-        # projection residual removes the sample-size component.
-        from cpsband import enumerate_poisson_distribution, exact_design_moments
-
-        d = enumerate_poisson_distribution(self.params.p)
-        mean, var = exact_design_moments(
-            d,
-            lambda s_row: projection_statistic_T(
-                self.f, SampleIndicators.from_array(s_row), self.params
-            ),
-        )
-        # T is linear in the indicators, so its exact mean is mean(f).
-        assert mean == pytest.approx(self.f.mean(), abs=1e-12)
-        assert var == pytest.approx(
-            poisson_projection_variance(self.f, self.params) / 6, abs=1e-12
-        )
 
 
 def test_threshold_grid_requires_increasing_finite():

@@ -20,9 +20,7 @@ from cpsband import (
     empirical_cps_distribution,
     enumerate_cps_distribution,
     enumerate_poisson_distribution,
-    estimate_inclusion_frequencies,
     exact_inclusion_orders,
-    poisson_sample,
     total_variation,
 )
 
@@ -102,26 +100,14 @@ def test_two_samplers_share_one_law():
     assert total_variation(seq, rej) < 0.03
 
 
-def test_poisson_sample_marginals():
-    p = np.array([0.1, 0.4, 0.5, 1.0])
-    params = CanonicalPoissonParams(p=p, n=2)
-    hits = np.zeros(4)
-    rng = RngStream(8)
-    reps = 20_000
-    for i in range(reps):
-        hits += poisson_sample(params, rng.substream(i)).s
-    np.testing.assert_allclose(hits / reps, p, atol=0.02)
-    assert hits[3] == reps
-
-
 def test_inclusion_frequencies_agree_with_exact_marginals():
     exact_pi, _ = exact_inclusion_orders(
         enumerate_cps_distribution(FIXED.p, FIXED.n)
     )
-    est = estimate_inclusion_frequencies(
-        FIXED, reps=40_000, rng=RngStream(99), method="sequential"
-    )
-    assert np.all(np.abs(est.freq - exact_pi) < 4 * est.stderr + 1e-3)
+    reps = 40_000
+    freq = cps_sample_sequential_batch(FIXED, RngStream(99), reps).mean(axis=0)
+    stderr = np.sqrt(freq * (1.0 - freq) / reps)
+    assert np.all(np.abs(freq - exact_pi) < 4 * stderr + 1e-3)
 
 
 def test_rejection_budget_error_reports_expected_attempts():

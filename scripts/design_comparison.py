@@ -5,8 +5,12 @@ The equal design gives every unit inclusion probability n/N; the
 proportional design calibrates on the lognormal sizes, concentrating
 inclusion on large units.  Because the outcome variance grows with the
 size variable, proportional calibration inflates the weighted process
-at the small-probability units and the bands come out several times
-wider.  This script quantifies that gap at one configuration.
+at the small-probability units and the bands come out wider.  This
+script quantifies that gap at one configuration; at its defaults
+(N = 500, alpha = 0.10, B = 200, B' = 1000, seed 7) the proportional
+bands averaged 1.50-1.56 times the equal-design width for the Hajek
+estimator and 2.30-2.44 times for Horvitz-Thompson over the levels
+0.90, 0.95 and 0.99.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from .calibration import (
     pips_probabilities,
     poisson_from_cps_inclusion,
 )
-from .inference import build_band, coverage_check, simulate_sup_norms, sup_quantile
+from .inference import band_pipeline, build_band
 from .oracle import (
     empirical_cps_distribution,
     enumerate_cps_distribution,
@@ -34,17 +34,10 @@ from .oracle import (
     exact_inclusion_orders,
     total_variation,
 )
-from .processes import (
-    ThresholdGrid,
-    _weighted_counts,
-    hajek_evaluate,
-    htep_evaluate,
-    sup_norm_cdf,
-)
+from .processes import ThresholdGrid, _weighted_counts
 from .samplers import (
     RngStream,
     SampleIndicators,
-    cps_sample_rejection,
     cps_sample_sequential,
     cps_sample_sequential_batch,
 )
@@ -83,6 +76,26 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _unit_rows(path: Path, reader, header: list[str]):
+    """The nonblank rows after the header, each checked to have one
+    field per column and a unit id no earlier row has."""
+    unit_col, width = header.index("unit"), len(header)
+    seen: set[str] = set()
+    for row in reader:
+        if not row:
+            continue
+        if len(row) == width and row[unit_col] not in seen:
+            seen.add(row[unit_col])
+            yield row
+            continue
+        unit = row[unit_col] if unit_col < len(row) else ""
+        problem = (
+            "unit listed twice" if len(row) == width
+            else f"{len(row)} fields, expected {width}"
+        )
+        raise ValueError(f"{path}: line {reader.line_num}, unit {unit!r}: {problem}")
+
+
 def _read_population(path: Path) -> tuple[list[str], PopulationFrame]:
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
@@ -90,22 +103,24 @@ def _read_population(path: Path) -> tuple[list[str], PopulationFrame]:
         if header != ["unit", "y", "x"]:
             raise ValueError(f"{path}: expected header unit,y,x")
         units, ys, xs = [], [], []
-        for row in reader:
-            if not row:
-                continue
-            units.append(row[0])
-            ys.append(float(row[1]))
-            xs.append(float(row[2]))
+        for unit, y, x in _unit_rows(path, reader, header):
+            units.append(unit)
+            ys.append(float(y))
+            xs.append(float(x))
     return units, PopulationFrame(y=np.array(ys), x=np.array(xs))
 
 
 def _read_sample(path: Path, units: list[str]) -> SampleIndicators:
     with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        if "unit" not in fields or "s" not in fields:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        if "unit" not in header or "s" not in header:
             raise ValueError(f"{path}: sample CSV needs unit and s columns")
-        by_unit = {row["unit"]: int(row["s"]) for row in reader}
+        unit_col, s_col = header.index("unit"), header.index("s")
+        by_unit = {
+            row[unit_col]: int(row[s_col])
+            for row in _unit_rows(path, reader, header)
+        }
     missing = [u for u in units if u not in by_unit]
     if missing or len(by_unit) != len(units):
         raise ValueError(f"{path}: sample units do not match the population")
@@ -143,16 +158,11 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 def _cmd_sample(args: argparse.Namespace) -> int:
     units, pop = _read_population(Path(args.population))
     _log_resolution(
-        args, population=args.population, size=args.size,
-        seed=args.seed, method=args.method,
+        args, population=args.population, size=args.size, seed=args.seed,
     )
     incl = pips_probabilities(pop.x, args.size)
     params = poisson_from_cps_inclusion(incl)
-    rng = RngStream(args.seed)
-    if args.method == "sequential":
-        sample = cps_sample_sequential(params, rng)
-    else:
-        sample = cps_sample_rejection(params, rng)
+    sample = cps_sample_sequential(params, RngStream(args.seed))
     rows = [
         [unit, _fmt(x), _fmt(prob), int(ind)]
         for unit, x, prob, ind in zip(units, pop.x, incl.pi, sample.s)
@@ -169,29 +179,15 @@ def _cmd_band(args: argparse.Namespace) -> int:
         args, population=args.population, sample=args.sample,
         estimator=args.estimator, gamma=args.gamma, seed=args.seed,
     )
-    n = sample.count
-    incl = pips_probabilities(pop.x, n)
-    grid = ThresholdGrid.from_population(pop.y)
+    incl = pips_probabilities(pop.x, sample.count)
+    stats = band_pipeline(
+        pop, incl, sample, (args.gamma,), args.quantile_draws, RngStream(args.seed)
+    )
+    estimator = args.estimator.upper()
+    quantile = stats.quantile(estimator, 0)
     weights = sample.s / incl.pi
-    if args.estimator == "hajek":
-        evaluation = hajek_evaluate(pop, incl, sample, grid)
-        weights = weights / weights.sum()
-    else:
-        evaluation = htep_evaluate(pop, incl, sample, grid)
-        weights = weights / pop.size
-    sup_stat = sup_norm_cdf(evaluation)
-    sampled = sample.s == 1
-    sups_ht, sups_hajek = simulate_sup_norms(
-        pop.y[sampled],
-        incl.pi[sampled],
-        float((incl.pi * (1.0 - incl.pi)).sum()),
-        pop.size,
-        args.quantile_draws,
-        RngStream(args.seed),
-    )
-    quantile = sup_quantile(
-        sups_hajek if args.estimator == "hajek" else sups_ht, args.gamma
-    )
+    weights = weights / (weights.sum() if estimator == "HAJEK" else pop.size)
+    grid = ThresholdGrid.from_population(pop.y)
     center, _ = _weighted_counts(pop.y, weights, grid.t)
     band = build_band(center, quantile, pop.size)
     rows = [
@@ -201,10 +197,9 @@ def _cmd_band(args: argparse.Namespace) -> int:
     _atomic_write_text(
         Path(args.out), _csv_text(["t", "center", "lower", "upper"], rows)
     )
-    covered = coverage_check(sup_stat, quantile)
     print(
-        f"sup={sup_stat:.6f} q_hat={quantile.q_hat:.6f} covered={covered} "
-        f"width={band.width:.6f}"
+        f"sup={stats.sup(estimator):.6f} q_hat={quantile.q_hat:.6f} "
+        f"covered={stats.covered(estimator, 0)} width={band.width:.6f}"
     )
     return 0
 
@@ -309,8 +304,6 @@ def main(argv: list[str] | None = None) -> int:
     smp.add_argument("--population", required=True, help="population CSV (unit,y,x)")
     smp.add_argument("--size", type=int, required=True, help="sample size n")
     smp.add_argument("--seed", type=int, default=0, help="master seed")
-    smp.add_argument("--method", choices=["sequential", "rejection"],
-                     default="sequential")
     smp.add_argument("--out", required=True, help="output CSV (unit,x,pi,s)")
     smp.set_defaults(func=_cmd_sample)
 

@@ -1,9 +1,12 @@
 """Covariance estimation, sup-norm quantiles, and confidence bands.
 
-The plug-in covariance of either empirical process on the sampled
-thresholds is AᵀA for an n×n matrix A with one row per sampled unit,
-so the band pipeline draws its Gaussian paths as ξA, in O(B'·n), with
-no covariance to form or factorize.  The simulated sup quantile gives a
+``band_pipeline`` is the one band chain that the coverage experiment
+and the ``band`` command share: sup statistics of both processes, one
+Gaussian draw, sup quantiles and the coverage rule.  The plug-in
+covariance of either empirical process on the sampled thresholds is
+AᵀA for an n×n matrix A with one row per sampled unit, so the pipeline
+draws its Gaussian paths as ξA, in O(B'·n), with no covariance to form
+or factorize.  The simulated sup quantile gives a
 uniform band of half-width q_hat / sqrt(N) around the estimated CDF.
 Both process variants share one set of Gaussian draws, which keeps
 their quantiles comparable replication by replication.  The n×n
@@ -24,12 +27,15 @@ from .calibration import (
     PopulationFrame,
     _frozen_array,
 )
+from .processes import ThresholdGrid, hajek_evaluate, htep_evaluate, sup_norm_cdf
 from .samplers import RngStream, SampleIndicators
 
 __all__ = [
+    "BandStatistics",
     "ConfidenceBand",
     "LimitCovariance",
     "QuantileEstimate",
+    "band_pipeline",
     "build_band",
     "coverage_check",
     "estimate_cov_hajek",
@@ -40,8 +46,8 @@ __all__ = [
     "sup_quantile",
 ]
 
-# A population model draws (y, x) pairs; see sim harness for the
-# reference implementation.
+# A population model draws (y, x) pairs; the bounded-size model in
+# tests/test_inference.py is one.
 PopulationModel = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
 
 
@@ -327,3 +333,58 @@ def coverage_check(sup_stat: float, q: QuantileEstimate) -> bool:
     """Whether the observed sup statistic stays within the quantile
     (closed inequality, so hitting the bound counts as covered)."""
     return sup_stat <= q.q_hat
+
+
+@dataclass(frozen=True)
+class BandStatistics:
+    """Sup statistics of the HT and Hájek processes on one sample, and
+    their simulated sup quantiles, one per confidence level."""
+
+    sup_ht: float
+    sup_hajek: float
+    q_ht: tuple[QuantileEstimate, ...]
+    q_hajek: tuple[QuantileEstimate, ...]
+
+    def sup(self, estimator: str) -> float:
+        """The "HT" or "HAJEK" sup statistic."""
+        return {"HT": self.sup_ht, "HAJEK": self.sup_hajek}[estimator]
+
+    def quantile(self, estimator: str, level_index: int) -> QuantileEstimate:
+        """The "HT" or "HAJEK" sup quantile at one level."""
+        return {"HT": self.q_ht, "HAJEK": self.q_hajek}[estimator][level_index]
+
+    def covered(self, estimator: str, level_index: int) -> bool:
+        """Whether that estimator's band at that level covers the
+        population CDF."""
+        return coverage_check(self.sup(estimator), self.quantile(estimator, level_index))
+
+
+def band_pipeline(
+    population: PopulationFrame,
+    incl: InclusionProbabilities,
+    sample: SampleIndicators,
+    levels: tuple[float, ...],
+    b_prime: int,
+    stream: RngStream,
+) -> BandStatistics:
+    """Both processes' exact sup statistics on the population grid, and
+    their sup quantiles at every level from one set of B' Gaussian paths
+    drawn from ``stream`` on the sampled thresholds."""
+    grid = ThresholdGrid.from_population(population.y)
+    sup_ht = sup_norm_cdf(htep_evaluate(population, incl, sample, grid))
+    sup_hajek = sup_norm_cdf(hajek_evaluate(population, incl, sample, grid))
+    sampled = sample.s == 1
+    sups_ht, sups_hajek = simulate_sup_norms(
+        population.y[sampled],
+        incl.pi[sampled],
+        float((incl.pi * (1.0 - incl.pi)).sum()),
+        population.size,
+        b_prime,
+        stream,
+    )
+    return BandStatistics(
+        sup_ht=sup_ht,
+        sup_hajek=sup_hajek,
+        q_ht=tuple(sup_quantile(sups_ht, g) for g in levels),
+        q_hajek=tuple(sup_quantile(sups_hajek, g) for g in levels),
+    )

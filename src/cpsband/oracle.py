@@ -4,24 +4,29 @@ Everything here is an independent ground truth for the analytic code
 paths: the fixed-size law is written out sample by sample, first and
 second order inclusion probabilities and design moments come from the
 full enumeration, and distances between laws are computed exactly.
-Population sizes are capped so the enumeration stays exhaustive.
+Population sizes are capped so the enumeration stays exhaustive.  A
+rejection sampler of the fixed-size law, which redraws Poisson samples
+until the size matches, checks the sequential sampler independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from math import comb, exp
 from typing import Callable, Literal
 
 import numpy as np
 
-from .calibration import _frozen_array
+from .calibration import CanonicalPoissonParams, _frozen_array
+from .esp import design_kernel
+from .samplers import RngStream, SamplingError
 
 __all__ = [
     "DesignDistribution",
     "MAX_CPS_UNITS",
     "MAX_POISSON_UNITS",
+    "cps_sample_rejection_batch",
     "empirical_cps_distribution",
     "enumerate_cps_distribution",
     "enumerate_poisson_distribution",
@@ -181,3 +186,51 @@ def total_variation(d1: DesignDistribution, d2: DesignDistribution) -> float:
         for code, prob in zip(codes.tolist(), d.probability.tolist()):
             acc[code] = acc.get(code, 0.0) + sign * prob
     return float(sum(abs(v) for v in acc.values()))
+
+
+def _log_acceptance(params: CanonicalPoissonParams) -> float:
+    """log P(Poisson size = n) = log e_m(free odds) + sum log(1 - p_free),
+    for rejection-failure diagnostics."""
+    free = params.p < 1.0
+    m = params.n - int((~free).sum())
+    p_free = params.p[free]
+    return design_kernel(p_free / (1.0 - p_free), m).log_esp + float(
+        np.log1p(-p_free).sum()
+    )
+
+
+def cps_sample_rejection_batch(
+    params: CanonicalPoissonParams,
+    rng: RngStream,
+    draws: int,
+    max_attempts: int = 10_000,
+) -> np.ndarray:
+    """Collect ``draws`` accepted rejection samples as a (draws, N) array.
+
+    Proposals are generated in blocks and filtered on size, which has
+    the same law as accepting each draw's first valid proposal.  The
+    total proposal budget is draws * max_attempts; when it runs out,
+    SamplingError reports the expected number of attempts per draw.
+    """
+    if draws < 1:
+        raise ValueError("draws must be at least 1")
+    gen = rng.generator()
+    p = params.p
+    budget = draws * max_attempts
+    spent = 0
+    parts: list[np.ndarray] = []
+    got = 0
+    while got < draws:
+        block = min(max(2 * (draws - got), 1024), budget - spent)
+        if block <= 0:
+            expected = exp(-_log_acceptance(params))
+            raise SamplingError(
+                f"{got} of {draws} samples after {spent} proposals; "
+                f"expected attempts per draw is {expected:.12g}"
+            )
+        proposal = gen.random((block, p.shape[0])) < p
+        spent += block
+        accepted = proposal[proposal.sum(axis=1) == params.n]
+        parts.append(accepted)
+        got += accepted.shape[0]
+    return np.concatenate(parts)[:draws].astype(np.int8)

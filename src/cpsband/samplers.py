@@ -1,18 +1,15 @@
-"""Samplers for the conditioned fixed-size design.
+"""The sampler for the conditioned fixed-size design.
 
-Two exact samplers realize the fixed-size law obtained by conditioning
-independent Bernoulli(p_i) indicators on their total: a rejection
-sampler that redraws until the size matches, and a sequential sampler
-that walks the units once and adjusts each inclusion probability to the
-number of slots still open.  The sequential sampler is the default; its
-running time is O(N n) regardless of how unlikely the conditioning
-event is, while rejection time grows like the inverse acceptance
-probability.
+The fixed-size law is that of independent Bernoulli(p_i) indicators
+conditioned on their total.  The sequential sampler realizes it
+exactly: it walks the units once and adjusts each inclusion probability
+to the number of slots still open, in O(N n) time however unlikely the
+conditioning event is.  A rejection sampler of the same law is kept
+beside the enumerations in ``oracle`` as an independent check.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +21,6 @@ __all__ = [
     "RngStream",
     "SampleIndicators",
     "SamplingError",
-    "cps_sample_rejection",
-    "cps_sample_rejection_batch",
     "cps_sample_sequential",
     "cps_sample_sequential_batch",
 ]
@@ -78,80 +73,6 @@ class SampleIndicators:
         return cls(s=arr, count=int(arr.sum()))
 
 
-def _log_acceptance(params: CanonicalPoissonParams) -> float:
-    """log P(Poisson size = n) = log e_m(free odds) + sum log(1 - p_free),
-    for rejection-failure diagnostics."""
-    free = params.p < 1.0
-    m = params.n - int((~free).sum())
-    p_free = params.p[free]
-    return design_kernel(p_free / (1.0 - p_free), m).log_esp + float(
-        np.log1p(-p_free).sum()
-    )
-
-
-def cps_sample_rejection(
-    params: CanonicalPoissonParams,
-    rng: RngStream,
-    max_attempts: int = 10_000,
-) -> SampleIndicators:
-    """Draw a fixed-size sample by redrawing Poisson samples until the
-    realized size equals n.
-
-    Raises SamplingError when the attempt budget runs out; the message
-    reports the budget and the expected number of attempts so the
-    caller can judge whether to fall back to the sequential sampler.
-    """
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
-    gen = rng.generator()
-    p = params.p
-    for _ in range(max_attempts):
-        s = gen.random(p.shape[0]) < p
-        if int(s.sum()) == params.n:
-            return SampleIndicators.from_array(s)
-    expected = math.exp(-_log_acceptance(params))
-    raise SamplingError(
-        f"no size-{params.n} sample in {max_attempts} attempts; "
-        f"expected attempts per draw is {expected:.12g}"
-    )
-
-
-def cps_sample_rejection_batch(
-    params: CanonicalPoissonParams,
-    rng: RngStream,
-    draws: int,
-    max_attempts: int = 10_000,
-) -> np.ndarray:
-    """Collect ``draws`` accepted rejection samples as a (draws, N) array.
-
-    Proposals are generated in blocks and filtered on size, which has
-    the same law as accepting each draw's first valid proposal.  The
-    total proposal budget is draws * max_attempts.
-    """
-    if draws < 1:
-        raise ValueError("draws must be at least 1")
-    gen = rng.generator()
-    p = params.p
-    budget = draws * max_attempts
-    spent = 0
-    parts: list[np.ndarray] = []
-    got = 0
-    while got < draws:
-        block = min(max(2 * (draws - got), 1024), budget - spent)
-        if block <= 0:
-            expected = math.exp(-_log_acceptance(params))
-            raise SamplingError(
-                f"{got} of {draws} samples after {spent} proposals; "
-                f"expected attempts per draw is {expected:.12g}"
-            )
-        proposal = gen.random((block, p.shape[0])) < p
-        spent += block
-        accepted = proposal[proposal.sum(axis=1) == params.n]
-        parts.append(accepted)
-        got += accepted.shape[0]
-    return np.concatenate(parts)[:draws].astype(np.int8)
-
-
 def cps_sample_sequential_batch(
     params: CanonicalPoissonParams,
     rng: RngStream,
@@ -192,6 +113,6 @@ def cps_sample_sequential_batch(
 def cps_sample_sequential(
     params: CanonicalPoissonParams, rng: RngStream
 ) -> SampleIndicators:
-    """Draw one fixed-size sample without rejection; same law as
-    cps_sample_rejection, O(N n) time."""
+    """Draw one fixed-size sample in O(N n) time; the first row of
+    cps_sample_sequential_batch on the same stream."""
     return SampleIndicators.from_array(cps_sample_sequential_batch(params, rng, 1)[0])

@@ -21,23 +21,15 @@ from typing import Literal
 import numpy as np
 
 from .calibration import (
-    CanonicalPoissonParams,
     PopulationFrame,
     pips_probabilities,
     poisson_from_cps_inclusion,
 )
-from .inference import simulate_sup_norms, sup_quantile
-from .processes import ThresholdGrid, hajek_evaluate, htep_evaluate, sup_norm_cdf
-from .samplers import (
-    RngStream,
-    SampleIndicators,
-    cps_sample_rejection,
-    cps_sample_sequential,
-)
+from .inference import BandStatistics, band_pipeline
+from .samplers import RngStream, cps_sample_sequential
 
 __all__ = [
     "CoverageReport",
-    "ReplicationRecord",
     "ReportCell",
     "SimConfig",
     "format_report",
@@ -55,7 +47,9 @@ class SimConfig:
     calibrator a constant size, so every unit gets inclusion probability
     n/N, while "proportional" calibrates on the auxiliary x, tilting
     inclusion toward large units.  Equal inclusion is the default; the
-    reference coverage and width figures were produced under it.
+    reference coverage and width figures were produced under it.  The
+    sequential sampler is the only ``sampler``; the field names it in
+    the report header and CSV.
     """
 
     population_size: int
@@ -64,7 +58,7 @@ class SimConfig:
     levels: tuple[float, ...] = (0.90, 0.95, 0.99)
     quantile_draws: int = 1000
     master_seed: int = 0
-    sampler: Literal["sequential", "rejection"] = "sequential"
+    sampler: Literal["sequential"] = "sequential"
     design: Literal["equal", "proportional"] = "equal"
     threads: int = 1
 
@@ -77,7 +71,7 @@ class SimConfig:
             raise ValueError("replications must be at least 1")
         if not all(0.0 < g < 1.0 for g in self.levels):
             raise ValueError("levels must lie in (0, 1)")
-        if self.sampler not in ("sequential", "rejection"):
+        if self.sampler != "sequential":
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.design not in ("equal", "proportional"):
             raise ValueError(f"unknown design {self.design!r}")
@@ -88,23 +82,6 @@ class SimConfig:
     @property
     def sample_size(self) -> int:
         return max(1, round(self.sampling_fraction * self.population_size))
-
-
-@dataclass(frozen=True)
-class ReplicationRecord:
-    """Sup statistics and simulated quantiles of one replication."""
-
-    rep_index: int
-    sup_ht: float
-    sup_hajek: float
-    q_ht: tuple[float, ...]
-    q_hajek: tuple[float, ...]
-
-    def covered_ht(self, level_index: int) -> bool:
-        return self.sup_ht <= self.q_ht[level_index]
-
-    def covered_hajek(self, level_index: int) -> bool:
-        return self.sup_hajek <= self.q_hajek[level_index]
 
 
 @dataclass(frozen=True)
@@ -144,27 +121,13 @@ def generate_population(n_units: int, rng: RngStream) -> PopulationFrame:
     return PopulationFrame(y=y, x=x)
 
 
-def _draw_sample(
-    params: CanonicalPoissonParams,
-    sampler: str,
-    rng: RngStream,
-) -> SampleIndicators:
-    if sampler == "sequential":
-        return cps_sample_sequential(params, rng)
-    return cps_sample_rejection(params, rng)
-
-
 def run_replication(
     config: SimConfig,
     rep_index: int,
     population: PopulationFrame | None = None,
-) -> ReplicationRecord:
-    """One full pass: population, calibration, sample, sup statistics,
-    and Gaussian sup-quantile simulation at every level.
-
-    The two estimators' quantiles come from one shared set of standard
-    normal vectors, drawn once per replication.
-    """
+) -> BandStatistics:
+    """One full pass: population, calibration, sample, then the band
+    pipeline at every level of the config."""
     rng = RngStream(config.master_seed).substream(rep_index)
     if population is None:
         population = generate_population(config.population_size, rng.substream(0))
@@ -175,31 +138,14 @@ def run_replication(
         sizes = np.ones(config.population_size)
     incl = pips_probabilities(sizes, n)
     params = poisson_from_cps_inclusion(incl)
-    sample = _draw_sample(params, config.sampler, rng.substream(1))
-
-    grid = ThresholdGrid.from_population(population.y)
-    sup_ht = sup_norm_cdf(htep_evaluate(population, incl, sample, grid))
-    sup_hajek = sup_norm_cdf(hajek_evaluate(population, incl, sample, grid))
-
-    sampled = sample.s == 1
-    sups_ht, sups_hajek = simulate_sup_norms(
-        population.y[sampled],
-        incl.pi[sampled],
-        float((incl.pi * (1.0 - incl.pi)).sum()),
-        population.size,
-        config.quantile_draws,
+    sample = cps_sample_sequential(params, rng.substream(1))
+    return band_pipeline(
+        population, incl, sample, config.levels, config.quantile_draws,
         rng.substream(2),
     )
-    return ReplicationRecord(
-        rep_index=rep_index,
-        sup_ht=sup_ht,
-        sup_hajek=sup_hajek,
-        q_ht=tuple(sup_quantile(sups_ht, g).q_hat for g in config.levels),
-        q_hajek=tuple(sup_quantile(sups_hajek, g).q_hat for g in config.levels),
-    )
 
 
-def _replication_task(args: tuple[SimConfig, int]) -> ReplicationRecord:
+def _replication_task(args: tuple[SimConfig, int]) -> BandStatistics:
     config, rep_index = args
     try:
         return run_replication(config, rep_index)
@@ -225,12 +171,8 @@ def run_experiment(config: SimConfig) -> CoverageReport:
     cells = []
     for estimator in ("HT", "HAJEK"):
         for j, level in enumerate(config.levels):
-            if estimator == "HT":
-                flags = [r.covered_ht(j) for r in records]
-                widths = np.array([r.q_ht[j] for r in records]) * scale
-            else:
-                flags = [r.covered_hajek(j) for r in records]
-                widths = np.array([r.q_hajek[j] for r in records]) * scale
+            flags = [r.covered(estimator, j) for r in records]
+            widths = np.array([r.quantile(estimator, j).q_hat for r in records]) * scale
             cells.append(
                 ReportCell(
                     estimator=estimator,

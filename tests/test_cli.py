@@ -215,3 +215,60 @@ def test_band_center_is_the_estimated_cdf(population_csv, tmp_path, estimator):
     want = weighted_cdf_counts_brute(y, weights, t)
     got = np.array([float(r["center"]) for r in band])
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+def test_sample_method_flag_is_gone(population_csv, tmp_path, capsys):
+    # The sequential sampler is the only one; argparse rejects the flag
+    # with its usage error.
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "sample", "--population", str(population_csv), "--size", "8",
+            "--method", "rejection", "--out", str(tmp_path / "s.csv"),
+        ])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --method rejection" in capsys.readouterr().err
+
+
+def band_error(tmp_path, capsys, population_text, sample_text):
+    population = tmp_path / "population.csv"
+    population.write_text(population_text)
+    sample = tmp_path / "sample.csv"
+    sample.write_text(sample_text)
+    out = tmp_path / "band.csv"
+    code = main([
+        "band", "--population", str(population), "--sample", str(sample),
+        "--quantile-draws", "100", "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.startswith("error:") and err.count("\n") == 1
+    return err
+
+
+POPULATION_0_TO_3 = "unit,y,x\n0,1.5,1.0\n1,0.2,2.0\n2,3.1,1.5\n3,2.2,0.5\n"
+
+
+def test_band_rejects_duplicate_sample_unit(tmp_path, capsys):
+    # Unit 0 is listed as sampled and then as not sampled; taking the
+    # last row would band an n = 1 sample.
+    err = band_error(
+        tmp_path, capsys, POPULATION_0_TO_3,
+        "unit,s\n0,1\n1,0\n2,1\n3,0\n0,0\n",
+    )
+    assert "sample.csv: line 6, unit '0': unit listed twice" in err
+
+
+def test_band_rejects_duplicate_population_unit(tmp_path, capsys):
+    err = band_error(
+        tmp_path, capsys, POPULATION_0_TO_3 + "1,0.7,1.2\n",
+        "unit,s\n0,1\n1,0\n2,1\n3,0\n",
+    )
+    assert "population.csv: line 6, unit '1': unit listed twice" in err
+
+
+def test_band_rejects_short_population_row(tmp_path, capsys):
+    err = band_error(
+        tmp_path, capsys, "unit,y,x\n0,1.5,1.0\n1,0.2\n2,3.1,1.5\n",
+        "unit,s\n0,1\n1,0\n2,1\n",
+    )
+    assert "population.csv: line 3, unit '1': 2 fields, expected 3" in err

@@ -17,6 +17,7 @@ from cpsband import (
     RngStream,
     SampleIndicators,
     ThresholdGrid,
+    band_pipeline,
     build_band,
     coverage_check,
     cps_sample_sequential,
@@ -27,6 +28,7 @@ from cpsband import (
     exact_design_moments,
     exact_inclusion_orders,
     generate_population,
+    hajek_evaluate,
     htep_evaluate,
     limit_cov_hajek,
     limit_cov_ht,
@@ -34,6 +36,7 @@ from cpsband import (
     poisson_from_cps_inclusion,
     simulate_sup_norms,
     solve_truncation_constant,
+    sup_norm_cdf,
     sup_quantile,
 )
 from cpsband.inference import _gaussian_paths, _sampled_indicators, _z_scores
@@ -366,3 +369,36 @@ def test_zero_quantile_band_is_degenerate():
     band = build_band(np.array([0.5]), q, n_units=10)
     assert band.halfwidth == 0.0
     assert coverage_check(0.0, q)
+
+
+def test_band_pipeline_is_the_band_chain():
+    # The pipeline's statistics equal the chain written out step by step
+    # from the same stream, and its coverage rule is coverage_check.
+    pop = generate_population(120, RngStream(21))
+    incl = pips_probabilities(pop.x, 15)
+    sample = cps_sample_sequential(poisson_from_cps_inclusion(incl), RngStream(22))
+    levels = (0.5, 0.9, 0.99)
+    stats = band_pipeline(pop, incl, sample, levels, 300, RngStream(23))
+
+    grid = ThresholdGrid.from_population(pop.y)
+    sampled = sample.s == 1
+    sups = simulate_sup_norms(
+        pop.y[sampled], incl.pi[sampled], float((incl.pi * (1 - incl.pi)).sum()),
+        pop.size, 300, RngStream(23),
+    )
+    for estimator, evaluate, sorted_sups in (
+        ("HT", htep_evaluate, sups[0]), ("HAJEK", hajek_evaluate, sups[1])
+    ):
+        sup = sup_norm_cdf(evaluate(pop, incl, sample, grid))
+        assert stats.sup(estimator) == sup
+        for j, gamma in enumerate(levels):
+            q = stats.quantile(estimator, j)
+            assert q == sup_quantile(sorted_sups, gamma)
+            assert stats.covered(estimator, j) == coverage_check(sup, q)
+    assert (stats.sup_ht, stats.sup_hajek) == (stats.sup("HT"), stats.sup("HAJEK"))
+    assert stats.q_ht[1] == stats.quantile("HT", 1)
+    assert stats.q_hajek[2] == stats.quantile("HAJEK", 2)
+    # Over three levels from 0.5 to 0.99 at least one band covers and,
+    # with these seeds, at least one misses, so both branches are read.
+    flags = {stats.covered(e, j) for e in ("HT", "HAJEK") for j in range(3)}
+    assert flags == {True, False}

@@ -13,7 +13,6 @@ from cpsband import (
     RngStream,
     SamplingError,
     canonicalize_poisson,
-    cps_sample_rejection,
     cps_sample_rejection_batch,
     cps_sample_sequential,
     cps_sample_sequential_batch,
@@ -57,11 +56,12 @@ def test_sequential_sample_size_is_always_n(params, seed):
     assert int(s.s.sum()) == params.n
 
 
-@given(design_params(max_units=12), st.integers(0, 2**32))
+@given(design_params(max_units=12), st.integers(0, 2**32), st.integers(1, 5))
 @settings(max_examples=30)
-def test_rejection_sample_size_is_always_n(params, seed):
-    s = cps_sample_rejection(params, RngStream(seed))
-    assert int(s.s.sum()) == params.n
+def test_rejection_sample_size_is_always_n(params, seed, draws):
+    rows = cps_sample_rejection_batch(params, RngStream(seed), draws)
+    assert rows.shape == (draws, params.p.shape[0])
+    assert np.all(rows.sum(axis=1) == params.n)
 
 
 def test_samplers_are_deterministic_given_stream():
@@ -115,13 +115,13 @@ def test_rejection_budget_error_reports_expected_attempts():
     # only allowed) proposal misses n and the budget error fires.
     params = CanonicalPoissonParams(p=np.full(400, 0.5), n=200)
     with pytest.raises(SamplingError, match="expected attempts"):
-        cps_sample_rejection(params, RngStream(0), max_attempts=1)
+        cps_sample_rejection_batch(params, RngStream(0), draws=1, max_attempts=1)
     # A small design with a certain unit, where seed 4's one proposal
     # misses n: the reported figure is 1 / P(|S| = n) under the
     # independent design.
     params = canonicalize_poisson(np.array([0.05, 0.3, 0.6, 0.95, 0.5, 0.2, 1.0]), 4)
     with pytest.raises(SamplingError) as failure:
-        cps_sample_rejection(params, RngStream(4), max_attempts=1)
+        cps_sample_rejection_batch(params, RngStream(4), draws=1, max_attempts=1)
     reported = float(re.search(r"expected attempts per draw is (\S+)", str(failure.value))[1])
     law = enumerate_poisson_distribution(params.p)
     acceptance = law.probability[law.indicators.sum(axis=1) == params.n].sum()

@@ -63,8 +63,10 @@ def test_replications_use_disjoint_substreams():
 
 def test_quantiles_monotone_in_level():
     rec = run_replication(SMALL, 3)
-    assert list(rec.q_ht) == sorted(rec.q_ht)
-    assert list(rec.q_hajek) == sorted(rec.q_hajek)
+    for quantiles in (rec.q_ht, rec.q_hajek):
+        q_hat = [q.q_hat for q in quantiles]
+        assert q_hat == sorted(q_hat)
+        assert [q.gamma for q in quantiles] == list(SMALL.levels)
 
 
 def test_proportional_design_differs_from_equal():
@@ -160,6 +162,11 @@ def test_config_validation():
         SimConfig(
             population_size=10, sampling_fraction=0.5, replications=1,
             sampler="systematic",
+        )
+    with pytest.raises(ValueError):
+        SimConfig(
+            population_size=10, sampling_fraction=0.5, replications=1,
+            sampler="rejection",
         )
     with pytest.raises(ValueError):
         SimConfig(

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -34,7 +35,7 @@ from .oracle import (
     exact_inclusion_orders,
     total_variation,
 )
-from .processes import ThresholdGrid, _weighted_counts
+from .processes import step_values
 from .samplers import (
     RngStream,
     SampleIndicators,
@@ -76,6 +77,11 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _row_error(path: Path, reader, unit: str, problem: str) -> ValueError:
+    """An error naming the file, the line the reader last read and its unit."""
+    return ValueError(f"{path}: line {reader.line_num}, unit {unit!r}: {problem}")
+
+
 def _unit_rows(path: Path, reader, header: list[str]):
     """The nonblank rows after the header, each checked to have one
     field per column and a unit id no earlier row has."""
@@ -93,7 +99,18 @@ def _unit_rows(path: Path, reader, header: list[str]):
             "unit listed twice" if len(row) == width
             else f"{len(row)} fields, expected {width}"
         )
-        raise ValueError(f"{path}: line {reader.line_num}, unit {unit!r}: {problem}")
+        raise _row_error(path, reader, unit, problem)
+
+
+def _number(path: Path, reader, unit: str, name: str, text: str) -> float:
+    """Field ``name`` of the row the reader last read, a finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise _row_error(path, reader, unit, f"{name} {text!r} is not a finite number")
+    return value
 
 
 def _read_population(path: Path) -> tuple[list[str], PopulationFrame]:
@@ -105,8 +122,8 @@ def _read_population(path: Path) -> tuple[list[str], PopulationFrame]:
         units, ys, xs = [], [], []
         for unit, y, x in _unit_rows(path, reader, header):
             units.append(unit)
-            ys.append(float(y))
-            xs.append(float(x))
+            ys.append(_number(path, reader, unit, "y", y))
+            xs.append(_number(path, reader, unit, "x", x))
     return units, PopulationFrame(y=np.array(ys), x=np.array(xs))
 
 
@@ -117,14 +134,19 @@ def _read_sample(path: Path, units: list[str]) -> SampleIndicators:
         if "unit" not in header or "s" not in header:
             raise ValueError(f"{path}: sample CSV needs unit and s columns")
         unit_col, s_col = header.index("unit"), header.index("s")
-        by_unit = {
-            row[unit_col]: int(row[s_col])
-            for row in _unit_rows(path, reader, header)
-        }
+        by_unit = {}
+        for row in _unit_rows(path, reader, header):
+            unit, s = row[unit_col], row[s_col]
+            if s.strip() not in ("0", "1"):
+                raise _row_error(path, reader, unit, f"s {s!r} is not 0 or 1")
+            by_unit[unit] = int(s)
     missing = [u for u in units if u not in by_unit]
     if missing or len(by_unit) != len(units):
         raise ValueError(f"{path}: sample units do not match the population")
-    return SampleIndicators.from_array(np.array([by_unit[u] for u in units]))
+    sample = SampleIndicators.from_array(np.array([by_unit[u] for u in units]))
+    if sample.count == 0:
+        raise ValueError(f"{path}: no unit has s = 1")
+    return sample
 
 
 def _resolve_threads(flag: int | None, fallback: int) -> int:
@@ -187,12 +209,11 @@ def _cmd_band(args: argparse.Namespace) -> int:
     quantile = stats.quantile(estimator, 0)
     weights = sample.s / incl.pi
     weights = weights / (weights.sum() if estimator == "HAJEK" else pop.size)
-    grid = ThresholdGrid.from_population(pop.y)
-    center, _ = _weighted_counts(pop.y, weights, grid.t)
+    thresholds, center = step_values(pop.y, weights)
     band = build_band(center, quantile, pop.size)
     rows = [
         [_fmt(t), _fmt(c), _fmt(lo), _fmt(hi)]
-        for t, c, lo, hi in zip(grid.t, band.center, band.lower, band.upper)
+        for t, c, lo, hi in zip(thresholds, band.center, band.lower, band.upper)
     ]
     _atomic_write_text(
         Path(args.out), _csv_text(["t", "center", "lower", "upper"], rows)

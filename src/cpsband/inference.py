@@ -2,7 +2,9 @@
 
 ``band_pipeline`` is the one band chain that the coverage experiment
 and the ``band`` command share: sup statistics of both processes, one
-Gaussian draw, sup quantiles and the coverage rule.  The plug-in
+Gaussian draw, sup quantiles and the coverage rule.  Every path is a
+step function read at its jumps (see ``processes``), so each sup is the
+largest absolute value there.  The plug-in
 covariance of either empirical process on the sampled thresholds is
 AᵀA for an n×n matrix A with one row per sampled unit, so the pipeline
 draws its Gaussian paths as ξA, in O(B'·n), with no covariance to form
@@ -27,7 +29,7 @@ from .calibration import (
     PopulationFrame,
     _frozen_array,
 )
-from .processes import ThresholdGrid, hajek_evaluate, htep_evaluate, sup_norm_cdf
+from .processes import hajek_evaluate, htep_evaluate, tie_groups
 from .samplers import RngStream, SampleIndicators
 
 __all__ = [
@@ -244,8 +246,8 @@ def limit_cov_hajek(
 def _gaussian_paths(
     xi: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray, d_n: float, n_units: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ξA of the HT and Hájek Gaussian paths on the sorted sampled y;
-    ξ is overwritten.
+    """Rows ξA of the HT and Hájek Gaussian paths on the distinct sampled
+    y in increasing order; ξ is overwritten.
 
     Column j of ξ weights the j-th sampled unit in y order.  With
     w = (1−π)/π² and Z the Z scores of estimate_cov_ht, A = diag(√w) Z/√N
@@ -257,10 +259,8 @@ def _gaussian_paths(
     cumulative sum minus rank-one terms, read at the last unit of each
     tie group.
     """
-    order = np.argsort(y_s, kind="stable")
-    y = y_s[order]
+    order, last = tie_groups(y_s)
     pi = pi_s[order]
-    last = np.searchsorted(y, y, side="right") - 1
     # d_N = 0 only when every π is 0 or 1, so then every sampled odds is 0.
     slope = np.cumsum((1.0 - pi) / pi) / (d_n or 1.0)
     inv_pi = 1.0 / pi
@@ -310,7 +310,14 @@ def sup_quantile(sorted_sups: np.ndarray, gamma: float) -> QuantileEstimate:
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
     b_prime = sorted_sups.shape[0]
-    index = math.ceil(gamma * b_prime) - 1
+    rank = gamma * b_prime
+    # The product carries rounding error (0.55·100 evaluates to
+    # 55.00000000000001), so one within a few ulps of a whole number is
+    # taken as that number.
+    nearest = round(rank)
+    if abs(rank - nearest) <= 4 * math.ulp(rank):
+        rank = nearest
+    index = math.ceil(rank) - 1
     return QuantileEstimate(
         gamma=gamma, q_hat=float(sorted_sups[index]), mc_draws=b_prime
     )
@@ -367,12 +374,14 @@ def band_pipeline(
     b_prime: int,
     stream: RngStream,
 ) -> BandStatistics:
-    """Both processes' exact sup statistics on the population grid, and
+    """Both processes' exact sup statistics over the real line, and
     their sup quantiles at every level from one set of B' Gaussian paths
     drawn from ``stream`` on the sampled thresholds."""
-    grid = ThresholdGrid.from_population(population.y)
-    sup_ht = sup_norm_cdf(htep_evaluate(population, incl, sample, grid))
-    sup_hajek = sup_norm_cdf(hajek_evaluate(population, incl, sample, grid))
+    _, ht = htep_evaluate(population, incl, sample)
+    _, hajek = hajek_evaluate(population, incl, sample)
+    sup_ht, sup_hajek = (float(np.abs(v).max(initial=0.0)) for v in (ht, hajek))
+    if not (math.isfinite(sup_ht) and math.isfinite(sup_hajek)):
+        raise ValueError("sup statistic is not finite")
     sampled = sample.s == 1
     sups_ht, sups_hajek = simulate_sup_norms(
         population.y[sampled],

@@ -71,6 +71,8 @@ class SimConfig:
             raise ValueError("replications must be at least 1")
         if not all(0.0 < g < 1.0 for g in self.levels):
             raise ValueError("levels must lie in (0, 1)")
+        if self.quantile_draws < 100:
+            raise ValueError("quantile_draws must be at least 100")
         if self.sampler != "sequential":
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.design not in ("equal", "proportional"):

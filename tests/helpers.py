@@ -27,8 +27,10 @@ def esp_exact(odds: list[Fraction | int], k: int) -> Fraction:
 def weighted_cdf_counts_brute(
     y: np.ndarray, weights: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
-    """Double loop the vectorised counting code must reproduce."""
-    return np.array([float(weights[y <= ti].sum()) for ti in t])
+    """Double loop the vectorised counting code must reproduce; a 2-d
+    ``weights`` holds one weight vector per row and gives one column per
+    row."""
+    return np.array([weights[..., y <= ti].sum(axis=-1) for ti in t])
 
 
 def binomial_central_interval(

@@ -272,3 +272,27 @@ def test_band_rejects_short_population_row(tmp_path, capsys):
         "unit,s\n0,1\n1,0\n2,1\n",
     )
     assert "population.csv: line 3, unit '1': 2 fields, expected 3" in err
+
+
+def test_band_rejects_unparsable_population_value(tmp_path, capsys):
+    err = band_error(
+        tmp_path, capsys, "unit,y,x\n0,1.5,1.0\n1,abc,2.0\n2,3.1,1.5\n",
+        "unit,s\n0,1\n1,0\n2,1\n",
+    )
+    assert "population.csv: line 3, unit '1': y 'abc' is not a finite number" in err
+
+
+@pytest.mark.parametrize("value", ["yes", "2"])
+def test_band_rejects_sample_indicator_other_than_0_or_1(tmp_path, capsys, value):
+    err = band_error(
+        tmp_path, capsys, POPULATION_0_TO_3,
+        f"unit,s\n0,1\n1,0\n2,{value}\n3,0\n",
+    )
+    assert f"sample.csv: line 4, unit '2': s '{value}' is not 0 or 1" in err
+
+
+def test_band_rejects_sample_with_no_sampled_unit(tmp_path, capsys):
+    err = band_error(
+        tmp_path, capsys, POPULATION_0_TO_3, "unit,s\n0,0\n1,0\n2,0\n3,0\n",
+    )
+    assert "sample.csv: no unit has s = 1" in err

@@ -1,4 +1,5 @@
-"""Empirical-process evaluations against direct double-loop references."""
+"""Empirical-process evaluations against direct double-loop references,
+and their sups as band_pipeline takes them."""
 
 from __future__ import annotations
 
@@ -10,34 +11,37 @@ from cpsband import (
     InclusionProbabilities,
     PopulationFrame,
     SampleIndicators,
-    ThresholdGrid,
+    band_pipeline,
     cps_sample_sequential,
     hajek_evaluate,
     htep_evaluate,
-    sup_norm_cdf,
 )
+from cpsband.processes import step_values
 from cpsband.samplers import RngStream
 
 from conftest import design_with_population
 from helpers import weighted_cdf_counts_brute
 
 
-def brute_htep(pop, pi, s, t):
-    weights = s.s / pi.pi - 1.0
+def brute_processes(pop, pi, s, t):
+    """The HT and Hájek processes at each t, summed directly over the
+    units in one pass over the thresholds."""
     n = pop.size
-    return weighted_cdf_counts_brute(pop.y, weights, t) / np.sqrt(n)
-
-
-def brute_hajek(pop, pi, s, t):
-    n = pop.size
-    n_hat = float((s.s / pi.pi).sum())
-    ht = weighted_cdf_counts_brute(pop.y, s.s / pi.pi, t)
-    f_n = weighted_cdf_counts_brute(pop.y, np.ones(n), t) / n
-    return np.sqrt(n) * (ht / n_hat - f_n)
+    w = s.s / pi.pi
+    minus_one, ht, count = weighted_cdf_counts_brute(
+        pop.y, np.stack([w - 1.0, w, np.ones(n)]), t
+    ).T
+    return minus_one / np.sqrt(n), np.sqrt(n) * (ht / w.sum() - count / n)
 
 
 def draw_sample(params, seed):
     return cps_sample_sequential(params, RngStream(seed))
+
+
+def sups(pop, incl, s):
+    """The HT and Hájek sup statistics of band_pipeline."""
+    stats = band_pipeline(pop, incl, s, (0.9,), 100, RngStream(0))
+    return stats.sup_ht, stats.sup_hajek
 
 
 @given(design_with_population(), st.integers(0, 1000))
@@ -45,10 +49,10 @@ def draw_sample(params, seed):
 def test_htep_matches_brute_force(args, seed):
     pop, params, incl = args
     s = draw_sample(params, seed)
-    grid = ThresholdGrid.from_population(pop.y)
-    ev = htep_evaluate(pop, incl, s, grid)
+    t, values = htep_evaluate(pop, incl, s)
+    np.testing.assert_array_equal(t, np.unique(pop.y))
     np.testing.assert_allclose(
-        ev.values, brute_htep(pop, incl, s, grid.t), atol=1e-12
+        values, brute_processes(pop, incl, s, t)[0], atol=1e-12
     )
 
 
@@ -57,10 +61,10 @@ def test_htep_matches_brute_force(args, seed):
 def test_hajek_matches_brute_force(args, seed):
     pop, params, incl = args
     s = draw_sample(params, seed)
-    grid = ThresholdGrid.from_population(pop.y)
-    ev = hajek_evaluate(pop, incl, s, grid)
+    t, values = hajek_evaluate(pop, incl, s)
+    np.testing.assert_array_equal(t, np.unique(pop.y))
     np.testing.assert_allclose(
-        ev.values, brute_hajek(pop, incl, s, grid.t), atol=1e-12
+        values, brute_processes(pop, incl, s, t)[1], atol=1e-12
     )
 
 
@@ -69,20 +73,14 @@ def test_hajek_matches_brute_force(args, seed):
 def test_sup_norm_beats_dense_grid(args, seed):
     pop, params, incl = args
     s = draw_sample(params, seed)
-    grid = ThresholdGrid.from_population(pop.y)
-    ev = htep_evaluate(pop, incl, s, grid)
-    sup = sup_norm_cdf(ev)
     dense = np.linspace(pop.y.min() - 1.0, pop.y.max() + 1.0, 100_001)
-    brute = np.abs(brute_htep(pop, incl, s, dense)).max()
-    assert sup >= brute - 1e-12
-    # The sup is attained at a jump, so the dense grid comes within the
-    # brute evaluation at the exact thresholds.
-    assert sup == pytest.approx(
-        np.abs(brute_htep(pop, incl, s, grid.t)).max()
-        if np.abs(brute_htep(pop, incl, s, grid.t)).max() >= np.abs(ev.values_left).max()
-        else np.abs(ev.values_left).max(),
-        abs=1e-12,
-    )
+    at_dense = brute_processes(pop, incl, s, dense)
+    at_jumps = brute_processes(pop, incl, s, np.unique(pop.y))
+    for sup, on_grid, exact in zip(sups(pop, incl, s), at_dense, at_jumps):
+        assert sup >= np.abs(on_grid).max() - 1e-12
+        # The sup is attained at a jump, so it is the brute evaluation at
+        # the exact thresholds.
+        assert sup == pytest.approx(np.abs(exact).max(), abs=1e-12)
 
 
 def test_left_limits_capture_pre_jump_extreme():
@@ -91,27 +89,37 @@ def test_left_limits_capture_pre_jump_extreme():
     pop = PopulationFrame(y=np.array([0.0, 1.0]), x=np.ones(2))
     incl = InclusionProbabilities(pi=np.array([0.2, 0.8]), n=1)
     s = SampleIndicators.from_array(np.array([0, 1]))
-    grid = ThresholdGrid.from_population(pop.y)
-    ev = htep_evaluate(pop, incl, s, grid)
+    _, values = htep_evaluate(pop, incl, s)
     # value at t=0 is -1/sqrt(2); left of t=1 it is still -1/sqrt(2),
-    # at t=1 it jumps to (1/0.8 - 1 - 1)/sqrt(2).
-    np.testing.assert_allclose(ev.values_left[1], -1 / np.sqrt(2), atol=1e-12)
-    assert sup_norm_cdf(ev) == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+    # the value at the previous jump, and at t=1 it jumps to
+    # (1/0.8 - 1 - 1)/sqrt(2).
+    np.testing.assert_allclose(values[0], -1 / np.sqrt(2), atol=1e-12)
+    np.testing.assert_allclose(values[1], -0.75 / np.sqrt(2), atol=1e-12)
+    assert sups(pop, incl, s)[0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
 
 def test_census_process_vanishes():
     pop = PopulationFrame(y=np.array([3.0, 1.0, 2.0]), x=np.ones(3))
     incl = InclusionProbabilities(pi=np.ones(3), n=3)
     s = SampleIndicators.from_array(np.array([1, 1, 1]))
-    grid = ThresholdGrid.from_population(pop.y)
-    assert sup_norm_cdf(htep_evaluate(pop, incl, s, grid)) == 0.0
-    assert sup_norm_cdf(hajek_evaluate(pop, incl, s, grid)) == 0.0
+    assert sups(pop, incl, s) == (0.0, 0.0)
 
 
-def test_threshold_grid_requires_increasing_finite():
-    with pytest.raises(ValueError):
-        ThresholdGrid(t=np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        ThresholdGrid(t=np.array([np.nan]))
-    grid = ThresholdGrid.from_population(np.array([2.0, 1.0, 2.0]))
-    np.testing.assert_array_equal(grid.t, [1.0, 2.0])
+def test_step_values_merge_ties():
+    # Sorted, y = 1 carries weight 10 and the two units at y = 2 carry 1
+    # and 100; the path is read once per distinct y, after the last unit
+    # of each tie group.
+    t, values = step_values(np.array([2.0, 1.0, 2.0]), np.array([1.0, 10.0, 100.0]))
+    np.testing.assert_array_equal(t, [1.0, 2.0])
+    np.testing.assert_array_equal(values, [10.0, 111.0])
+
+
+def test_non_finite_sup_is_rejected():
+    # A subnormal π on a sampled unit overflows its weight 1/π.
+    pop = PopulationFrame(y=np.array([0.0, 1.0, 2.0]), x=np.ones(3))
+    incl = InclusionProbabilities(pi=np.array([1e-320, 1.0, 1.0 - 1e-320]), n=2)
+    s = SampleIndicators.from_array(np.array([1, 1, 0]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        ValueError, match="finite"
+    ):
+        sups(pop, incl, s)

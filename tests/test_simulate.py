@@ -173,6 +173,11 @@ def test_config_validation():
             population_size=10, sampling_fraction=0.5, replications=1,
             design="poisson",
         )
+    with pytest.raises(ValueError, match="quantile_draws"):
+        SimConfig(
+            population_size=10, sampling_fraction=0.5, replications=1,
+            quantile_draws=50,
+        )
 
 
 def test_coverage_is_a_binomial_proportion():

@@ -1,9 +1,13 @@
-"""The public surface: every exported name resolves."""
+"""The public surface: every exported name resolves, and so does every
+name the README's package bullets cite."""
 
 from __future__ import annotations
 
+import builtins
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import cpsband
 
@@ -19,3 +23,24 @@ def test_every_exported_name_resolves():
     namespace: dict = {}
     exec("from cpsband import *", namespace)
     assert set(cpsband.__all__) <= namespace.keys()
+
+
+def test_readme_package_bullets_name_real_objects():
+    # The bullets between the pipeline line and "## Install"; a
+    # backticked identifier longer than one letter that is no builtin
+    # is a package name, and a dotted one names cpsband.<module>.<attr>.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("The package covers the full pipeline:")
+    bullets = readme[start:readme.index("## Install", start)]
+    names = [
+        name for name in re.findall(r"`([A-Za-z_][\w.]*)`", bullets)
+        if len(name) > 1 and not hasattr(builtins, name)
+    ]
+    assert "band_pipeline" in names
+    unresolved = []
+    for name in names:
+        module, _, attr = name.rpartition(".")
+        owner = importlib.import_module(f"cpsband.{module}" if module else "cpsband")
+        if not hasattr(owner, attr):
+            unresolved.append(name)
+    assert not unresolved

@@ -124,6 +124,8 @@ def _read_population(path: Path) -> tuple[list[str], PopulationFrame]:
             units.append(unit)
             ys.append(_number(path, reader, unit, "y", y))
             xs.append(_number(path, reader, unit, "x", x))
+            if xs[-1] <= 0:
+                raise _row_error(path, reader, unit, f"x {x!r} is not positive")
     return units, PopulationFrame(y=np.array(ys), x=np.array(xs))
 
 

@@ -3,9 +3,15 @@
 The fixed-size law is that of independent Bernoulli(p_i) indicators
 conditioned on their total.  The sequential sampler realizes it
 exactly: it walks the units once and adjusts each inclusion probability
-to the number of slots still open, in O(N n) time however unlikely the
-conditioning event is.  A rejection sampler of the same law is kept
-beside the enumerations in ``oracle`` as an independent check.
+to the number of slots still open, however unlikely the conditioning
+event is.  With equal free odds the law is simple random sampling
+without replacement, and with r slots open and N - j free units left
+the adjusted probability is r / (N - j) in closed form (selection
+sampling: Fan, Muller & Rezucha 1962; Knuth's Algorithm S), so one draw
+takes O(N) time and builds no table.  Other designs read the design
+kernel's table, in O(N n) time and memory.  A rejection sampler of the
+same law is kept beside the enumerations in ``oracle`` as an
+independent check.
 """
 
 from __future__ import annotations
@@ -113,6 +119,41 @@ def cps_sample_sequential_batch(
 def cps_sample_sequential(
     params: CanonicalPoissonParams, rng: RngStream
 ) -> SampleIndicators:
-    """Draw one fixed-size sample in O(N n) time; the first row of
-    cps_sample_sequential_batch on the same stream."""
-    return SampleIndicators.from_array(cps_sample_sequential_batch(params, rng, 1)[0])
+    """Draw one fixed-size sample by a scalar walk over the free units.
+
+    The walk reads the same uniforms as the first row of
+    cps_sample_sequential_batch on the same stream.  With equal free
+    odds it takes free unit j while r slots are open when
+    u_j < r / (N - j), N counting the free units, in O(N) time with no
+    design kernel; that row is then reproduced except when a uniform
+    lies within a few ulps of r / (N - j), where the kernel's rounded q
+    can fall on the other side.  Otherwise the walk reads q[r, j] from
+    the kernel's table, O(N n) to build, and reproduces the row exactly.
+    """
+    p = params.p
+    s = (p == 1.0).astype(np.int8)
+    free = np.flatnonzero(s == 0)
+    m = params.n - int(s.sum())
+    if m == 0:
+        return SampleIndicators.from_array(s)
+    p_free = p[free]
+    n_free = free.shape[0]
+    if np.all(p_free == p_free[0]):
+        def chance(j: int, r: int) -> float:
+            return r / (n_free - j)
+    else:
+        # Row j of the unit-major table q.T holds q[:, j], so q[r, j]
+        # sits at flat index j (m + 1) + r.
+        flat = design_kernel(p_free / (1.0 - p_free), m).q.T.reshape(-1)
+
+        def chance(j: int, r: int) -> float:
+            return flat[j * (m + 1) + r]
+    u = rng.generator().random((1, n_free))[0].tolist()
+    slots = m
+    for j, unit in enumerate(free.tolist()):
+        if u[j] < chance(j, slots):
+            s[unit] = 1
+            slots -= 1
+    if slots != 0:
+        raise SamplingError("sequential sampler failed to fill every slot")
+    return SampleIndicators.from_array(s)

@@ -27,10 +27,16 @@ def esp_exact(odds: list[Fraction | int], k: int) -> Fraction:
 def weighted_cdf_counts_brute(
     y: np.ndarray, weights: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
-    """Double loop the vectorised counting code must reproduce; a 2-d
+    """Direct sums the vectorised counting code must reproduce; a 2-d
     ``weights`` holds one weight vector per row and gives one column per
-    row."""
-    return np.array([weights[..., y <= ti].sum(axis=-1) for ti in t])
+    row.  Each chunk of thresholds forms the full (chunk x n) matrix of
+    y <= t and sums the weights it selects, with no sort."""
+    chunk = 4096
+    out = []
+    for start in range(0, t.shape[0], chunk):
+        below = y <= t[start:start + chunk, None]
+        out.append(np.where(below, weights[..., None, :], 0.0).sum(axis=-1).T)
+    return np.concatenate(out)
 
 
 def binomial_central_interval(

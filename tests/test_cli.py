@@ -296,3 +296,13 @@ def test_band_rejects_sample_with_no_sampled_unit(tmp_path, capsys):
         tmp_path, capsys, POPULATION_0_TO_3, "unit,s\n0,0\n1,0\n2,0\n3,0\n",
     )
     assert "sample.csv: no unit has s = 1" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_band_rejects_nonpositive_size(tmp_path, capsys, value):
+    # Calibration needs every x > 0; the reader names the offending row.
+    err = band_error(
+        tmp_path, capsys, f"unit,y,x\n0,1.5,1.0\n1,0.2,{value}\n2,3.1,1.5\n",
+        "unit,s\n0,1\n1,0\n2,1\n",
+    )
+    assert f"population.csv: line 3, unit '1': x '{value}' is not positive" in err

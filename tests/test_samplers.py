@@ -10,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from cpsband import (
     CanonicalPoissonParams,
+    DesignDistribution,
     RngStream,
     SamplingError,
+    SimConfig,
     canonicalize_poisson,
     cps_sample_rejection_batch,
     cps_sample_sequential,
@@ -20,6 +22,10 @@ from cpsband import (
     enumerate_cps_distribution,
     enumerate_poisson_distribution,
     exact_inclusion_orders,
+    generate_population,
+    pips_probabilities,
+    poisson_from_cps_inclusion,
+    samplers,
     total_variation,
 )
 
@@ -71,11 +77,74 @@ def test_samplers_are_deterministic_given_stream():
     np.testing.assert_array_equal(first.s, second.s)
 
 
+def run_replication_params(design, n_units):
+    """The design run_replication calibrates for replication 0."""
+    config = SimConfig(population_size=n_units, sampling_fraction=0.1,
+                       replications=1, design=design)
+    rng = RngStream(config.master_seed).substream(0)
+    sizes = (generate_population(n_units, rng.substream(0)).x
+             if design == "proportional" else np.ones(n_units))
+    return poisson_from_cps_inclusion(
+        pips_probabilities(sizes, config.sample_size)
+    )
+
+
 def test_batch_matches_repeated_single_draws():
     batch = cps_sample_sequential_batch(FIXED, RngStream(5), 4)
     single = cps_sample_sequential(FIXED, RngStream(5))
     # One batched draw row consumes the same uniforms as a lone draw.
     np.testing.assert_array_equal(batch[0], single.s)
+    # Under "equal" the lone draw takes the closed form r / (N - j) and
+    # the batch reads the kernel's table; the two agree unless a uniform
+    # lands within a few ulps of r / (N - j).  Each flip is listed.
+    flips = []
+    for design in ("equal", "proportional"):
+        for n_units in (50, 500, 2000):
+            params = run_replication_params(design, n_units)
+            assert bool(np.all(params.p == params.p[0])) == (design == "equal")
+            for seed in range(5):
+                single = cps_sample_sequential(params, RngStream(seed))
+                row = cps_sample_sequential_batch(params, RngStream(seed), 1)[0]
+                if not np.array_equal(single.s, row):
+                    flips.append((design, n_units, seed))
+    assert flips == [], f"single and batch draws differ at {flips}"
+
+
+def no_kernel(*args, **kwargs):
+    raise AssertionError("the equal design must not build a design kernel")
+
+
+def test_closed_form_single_draws_follow_the_conditioned_law(monkeypatch):
+    monkeypatch.setattr(samplers, "design_kernel", no_kernel)
+    # N = 7, n = 3: unit 2 is certain and the six free units share
+    # p = 1/3, so the law is SRSWOR of two of them.
+    p = np.full(7, 1.0 / 3.0)
+    p[2] = 1.0
+    params = CanonicalPoissonParams(p=p, n=3)
+    poisson = enumerate_poisson_distribution(params.p)
+    size_n = poisson.indicators.sum(axis=1) == params.n
+    exact = DesignDistribution(
+        indicators=poisson.indicators[size_n],
+        probability=poisson.probability[size_n] / poisson.probability[size_n].sum(),
+        kind="CPS",
+    )
+    draws = 20_000
+    rng = RngStream(4040)
+    rows = np.array([
+        cps_sample_sequential(params, rng.substream(i)).s for i in range(draws)
+    ])
+    assert np.all(rows[:, 2] == 1)
+    # 15 equally likely samples: the TV noise floor at 2e4 draws is
+    # ~0.021 with a spread of ~0.004, well under the 0.05 budget.
+    assert total_variation(exact, empirical_cps_distribution(rows)) < 0.05
+
+
+def test_equal_draw_builds_no_kernel(monkeypatch):
+    # At N = 1e4, n = 5000 the kernel's table alone would take 400 MB.
+    monkeypatch.setattr(samplers, "design_kernel", no_kernel)
+    params = CanonicalPoissonParams(p=np.full(10_000, 0.5), n=5_000)
+    sample = cps_sample_sequential(params, RngStream(1))
+    assert sample.s.shape == (10_000,) and sample.count == 5_000
 
 
 def test_sequential_law_matches_enumeration():

@@ -14,12 +14,9 @@ from .calibration import (
 )
 from .inference import (
     BandStatistics,
-    ConfidenceBand,
     LimitCovariance,
     QuantileEstimate,
     band_pipeline,
-    build_band,
-    coverage_check,
     estimate_cov_hajek,
     estimate_cov_ht,
     limit_cov_hajek,
@@ -61,7 +58,6 @@ __all__ = [
     "BandStatistics",
     "CalibrationError",
     "CanonicalPoissonParams",
-    "ConfidenceBand",
     "CoverageReport",
     "DesignDistribution",
     "InclusionProbabilities",
@@ -74,9 +70,7 @@ __all__ = [
     "SamplingError",
     "SimConfig",
     "band_pipeline",
-    "build_band",
     "canonicalize_poisson",
-    "coverage_check",
     "cps_inclusion_from_poisson",
     "cps_sample_rejection_batch",
     "cps_sample_sequential",

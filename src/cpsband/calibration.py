@@ -10,6 +10,13 @@ Covers three distinct conversions:
   parameters (sum p = n) that induce given fixed-size inclusion
   probabilities.
 
+A parameter vector fixes its fixed-size law together with n: units
+with p = 1 are always sampled, and the free units (p < 1) share the
+n - #certain open slots through one design kernel over their odds
+p / (1 - p).  ``CanonicalPoissonParams`` carries that reduction once
+(``free``, ``slots``, ``kernel``) for the forward map, the sampler and
+the oracle.
+
 Plus the weight-truncation constant θ of the large-sample covariance
 formulas, which inference.limit_cov_ht and limit_cov_hajek take.
 """
@@ -20,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .esp import design_kernel
+from .esp import DesignKernel, design_kernel
 
 __all__ = [
     "PopulationFrame",
@@ -103,7 +110,8 @@ class InclusionProbabilities:
 class CanonicalPoissonParams:
     """Bernoulli parameters of the canonical independent design, sum p = n.
 
-    Units with p_i = 1 are deterministic inclusions.
+    Units with p_i = 1 are deterministic inclusions; the ``free`` units
+    share the ``slots`` left open through their design ``kernel``.
     """
 
     p: np.ndarray
@@ -125,10 +133,23 @@ class CanonicalPoissonParams:
         return self.p.shape[0]
 
     @property
-    def odds(self) -> np.ndarray:
-        # Certain units (p = 1) get infinite odds without a warning.
-        with np.errstate(divide="ignore"):
-            return self.p / (1.0 - self.p)
+    def free(self) -> np.ndarray:
+        """Indices of the units with p < 1, in increasing order."""
+        return np.flatnonzero(self.p < 1.0)
+
+    @property
+    def slots(self) -> int:
+        """Sample slots open to the free units: n minus the certain units."""
+        return self.n - int((self.p == 1.0).sum())
+
+    def kernel(self) -> DesignKernel:
+        """The design kernel of the free units' odds for the open slots.
+
+        Built afresh on every call and not kept, so the O(N n) table
+        lives only as long as its caller holds it.
+        """
+        p_free = self.p[self.free]
+        return design_kernel(p_free / (1.0 - p_free), self.slots)
 
 
 def pips_probabilities(x: np.ndarray, n: int) -> InclusionProbabilities:
@@ -174,42 +195,11 @@ def pips_probabilities(x: np.ndarray, n: int) -> InclusionProbabilities:
     return InclusionProbabilities(pi=pi, n=n)
 
 
-def _cps_first_order_raw(p: np.ndarray, n: int) -> np.ndarray:
-    """Exact first-order inclusion probabilities of the size-n conditioned
-    design with Bernoulli parameters p; handles p_i in {0, 1} by reduction."""
-    p = np.asarray(p, dtype=float)
-    n_units = p.shape[0]
-    if np.any(p < 0) or np.any(p > 1):
-        raise CalibrationError("parameters must lie in [0, 1]")
-    fixed_in = p == 1.0
-    fixed_out = p == 0.0
-    n_fixed = int(fixed_in.sum())
-    if n < n_fixed:
-        raise CalibrationError(
-            f"sample size {n} is smaller than the {n_fixed} deterministic inclusions"
-        )
-    free = ~(fixed_in | fixed_out)
-    m = n - n_fixed
-    pi = np.zeros(n_units)
-    pi[fixed_in] = 1.0
-    if m == 0:
-        return pi
-    p_free = p[free]
-    if m > p_free.shape[0]:
-        raise CalibrationError("sample size exceeds the number of selectable units")
-    pi[free] = design_kernel(p_free / (1.0 - p_free), m).first_order()
-    return pi
-
-
 def cps_inclusion_from_poisson(params: CanonicalPoissonParams) -> InclusionProbabilities:
     """Exact first-order inclusion probabilities of the fixed-size design
     induced by conditioning the independent design on sample size n."""
-    pi = _cps_first_order_raw(params.p, params.n)
-    total = float(pi.sum())
-    if abs(total - params.n) > SUM_TOL:
-        raise CalibrationError(
-            f"first-order probabilities sum to {total:.12g}, expected {params.n}"
-        )
+    pi = np.ones(params.size)
+    pi[params.free] = params.kernel().first_order()
     return InclusionProbabilities(pi=pi, n=params.n)
 
 
@@ -276,31 +266,30 @@ def _hajek_newton_step(pi: np.ndarray, r: np.ndarray) -> np.ndarray:
     return r / w + (float(u @ r) / (d - float(v @ u))) * u
 
 
-# The safeguard gives up once a step this small still fails to lower the
-# residual: the exact forward map can no longer tell the iterates apart.
+# The solve stops once max |r| is at most _TOL, and gives up after
+# _MAX_FORWARD_MAPS forward-map evaluations or once a step below
+# _MIN_STEP still fails to lower the residual: the exact forward map can
+# no longer tell the iterates apart.
+_TOL = 1e-12
+_MAX_FORWARD_MAPS = 500
 _MIN_STEP = 1e-8
 
 
 def _forward_at_trial(logit_p: np.ndarray, m: int) -> np.ndarray | None:
     """The exact forward map at a trial point, or None where it cannot be
-    taken: parameters that round to 0 or 1 would be read as deterministic
-    units, and a long step can spread the odds so far that the design
-    kernel's ratios leave double precision (it raises ArithmeticError)."""
+    taken: parameters that round to 0 or 1 have no finite positive odds,
+    and a long step can spread the odds so far that the design kernel's
+    ratios leave double precision (it raises ArithmeticError)."""
     p = _expit(logit_p)
     if not np.all((p > 0.0) & (p < 1.0)):
         return None
     try:
-        return _cps_first_order_raw(p, m)
+        return design_kernel(p / (1.0 - p), m).first_order()
     except ArithmeticError:
         return None
 
 
-def poisson_from_cps_inclusion(
-    incl: InclusionProbabilities,
-    *,
-    max_iter: int = 500,
-    tol: float = 1e-12,
-) -> CanonicalPoissonParams:
+def poisson_from_cps_inclusion(incl: InclusionProbabilities) -> CanonicalPoissonParams:
     """Recover the canonical Bernoulli parameters (sum p = n) whose
     size-conditioned design has the given first-order probabilities.
 
@@ -316,8 +305,8 @@ def poisson_from_cps_inclusion(
     is accepted only if it strictly lowers max |r|; trial points the
     forward map cannot take count as failures.  A rejected step is
     halved; after an accepted one the step length doubles again, up to
-    a full step.  Iteration stops once max |r| <= ``tol``.  A
-    ``CalibrationError`` is raised after ``max_iter`` forward-map
+    a full step.  Iteration stops once max |r| <= ``_TOL``.  A
+    ``CalibrationError`` is raised after ``_MAX_FORWARD_MAPS`` forward-map
     evaluations or once the step falls below ``_MIN_STEP``.
 
     A common log-odds shift leaves the fixed-size law unchanged, so the
@@ -345,19 +334,20 @@ def poisson_from_cps_inclusion(
         return CanonicalPoissonParams(p=p, n=n)
 
     logit_p = _logit(pi_free)
-    achieved = _cps_first_order_raw(_expit(logit_p), m)
+    p_start = _expit(logit_p)
+    achieved = design_kernel(p_start / (1.0 - p_start), m).first_order()
     evaluations = 1
     step = 1.0
     while True:
         r = pi_free - achieved
         residual = float(np.max(np.abs(r)))
-        if residual <= tol:
+        if residual <= _TOL:
             break
         delta = _hajek_newton_step(achieved, r)
         while True:
-            if evaluations >= max_iter:
+            if evaluations >= _MAX_FORWARD_MAPS:
                 raise CalibrationError(
-                    f"parameter recovery did not converge within {max_iter} "
+                    f"parameter recovery did not converge within {_MAX_FORWARD_MAPS} "
                     f"forward-map evaluations (residual {residual:.3e})"
                 )
             trial = logit_p + step * delta

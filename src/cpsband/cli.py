@@ -27,7 +27,7 @@ from .calibration import (
     pips_probabilities,
     poisson_from_cps_inclusion,
 )
-from .inference import band_pipeline, build_band
+from .inference import band_pipeline
 from .oracle import (
     empirical_cps_distribution,
     enumerate_cps_distribution,
@@ -197,6 +197,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_band(args: argparse.Namespace) -> int:
+    if not 0.0 < args.gamma < 1.0:
+        raise ValueError(f"--gamma must lie in (0, 1), got {args.gamma}")
+    if args.quantile_draws < 100:
+        raise ValueError(
+            f"--quantile-draws must be at least 100, got {args.quantile_draws}"
+        )
     units, pop = _read_population(Path(args.population))
     sample = _read_sample(Path(args.sample), units)
     _log_resolution(
@@ -212,17 +218,19 @@ def _cmd_band(args: argparse.Namespace) -> int:
     weights = sample.s / incl.pi
     weights = weights / (weights.sum() if estimator == "HAJEK" else pop.size)
     thresholds, center = step_values(pop.y, weights)
-    band = build_band(center, quantile, pop.size)
+    halfwidth = quantile.q_hat / math.sqrt(pop.size)
+    lower = np.clip(center - halfwidth, 0.0, 1.0)
+    upper = np.clip(center + halfwidth, 0.0, 1.0)
     rows = [
         [_fmt(t), _fmt(c), _fmt(lo), _fmt(hi)]
-        for t, c, lo, hi in zip(thresholds, band.center, band.lower, band.upper)
+        for t, c, lo, hi in zip(thresholds, center, lower, upper)
     ]
     _atomic_write_text(
         Path(args.out), _csv_text(["t", "center", "lower", "upper"], rows)
     )
     print(
         f"sup={stats.sup(estimator):.6f} q_hat={quantile.q_hat:.6f} "
-        f"covered={stats.covered(estimator, 0)} width={band.width:.6f}"
+        f"covered={stats.covered(estimator, 0)} width={2.0 * halfwidth:.6f}"
     )
     return 0
 

@@ -9,7 +9,8 @@ covariance of either empirical process on the sampled thresholds is
 AᵀA for an n×n matrix A with one row per sampled unit, so the pipeline
 draws its Gaussian paths as ξA, in O(B'·n), with no covariance to form
 or factorize.  The simulated sup quantile gives a
-uniform band of half-width q_hat / sqrt(N) around the estimated CDF.
+uniform band of half-width q_hat / sqrt(N) around the estimated CDF,
+which ``cpsband band`` writes out clipped to [0, 1].
 Both process variants share one set of Gaussian draws, which keeps
 their quantiles comparable replication by replication.  The n×n
 estimates are the reference that AᵀA is tested against, and the
@@ -24,22 +25,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .calibration import (
-    InclusionProbabilities,
-    PopulationFrame,
-    _frozen_array,
-)
+from .calibration import InclusionProbabilities, PopulationFrame
 from .processes import hajek_evaluate, htep_evaluate, tie_groups
 from .samplers import RngStream, SampleIndicators
 
 __all__ = [
     "BandStatistics",
-    "ConfidenceBand",
     "LimitCovariance",
     "QuantileEstimate",
     "band_pipeline",
-    "build_band",
-    "coverage_check",
     "estimate_cov_hajek",
     "estimate_cov_ht",
     "limit_cov_hajek",
@@ -68,37 +62,6 @@ class QuantileEstimate:
             raise ValueError("quantile must be nonnegative")
         if self.mc_draws < 1:
             raise ValueError("mc_draws must be positive")
-
-
-@dataclass(frozen=True)
-class ConfidenceBand:
-    """Uniform band center ± halfwidth at confidence level gamma."""
-
-    center: np.ndarray
-    halfwidth: float
-    gamma: float
-
-    def __post_init__(self) -> None:
-        center = np.asarray(self.center, dtype=float)
-        if center.ndim != 1:
-            raise ValueError("center must be a 1-d array")
-        if self.halfwidth < 0.0:
-            raise ValueError("halfwidth must be nonnegative")
-        object.__setattr__(self, "center", _frozen_array(center, float))
-
-    @property
-    def width(self) -> float:
-        return 2.0 * self.halfwidth
-
-    @property
-    def lower(self) -> np.ndarray:
-        """Lower band edge clipped to [0, 1] for display."""
-        return np.clip(self.center - self.halfwidth, 0.0, 1.0)
-
-    @property
-    def upper(self) -> np.ndarray:
-        """Upper band edge clipped to [0, 1] for display."""
-        return np.clip(self.center + self.halfwidth, 0.0, 1.0)
 
 
 def _sampled_indicators(
@@ -323,25 +286,6 @@ def sup_quantile(sorted_sups: np.ndarray, gamma: float) -> QuantileEstimate:
     )
 
 
-def build_band(
-    center_values: np.ndarray, q: QuantileEstimate, n_units: int
-) -> ConfidenceBand:
-    """Uniform band center ± q_hat/sqrt(N) around an estimated CDF."""
-    if n_units < 1:
-        raise ValueError("population size must be positive")
-    return ConfidenceBand(
-        center=center_values,
-        halfwidth=q.q_hat / math.sqrt(n_units),
-        gamma=q.gamma,
-    )
-
-
-def coverage_check(sup_stat: float, q: QuantileEstimate) -> bool:
-    """Whether the observed sup statistic stays within the quantile
-    (closed inequality, so hitting the bound counts as covered)."""
-    return sup_stat <= q.q_hat
-
-
 @dataclass(frozen=True)
 class BandStatistics:
     """Sup statistics of the HT and Hájek processes on one sample, and
@@ -362,8 +306,9 @@ class BandStatistics:
 
     def covered(self, estimator: str, level_index: int) -> bool:
         """Whether that estimator's band at that level covers the
-        population CDF."""
-        return coverage_check(self.sup(estimator), self.quantile(estimator, level_index))
+        population CDF: sup <= q_hat, a closed inequality, so a sup that
+        hits the quantile counts as covered."""
+        return self.sup(estimator) <= self.quantile(estimator, level_index).q_hat
 
 
 def band_pipeline(

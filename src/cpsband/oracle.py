@@ -19,7 +19,6 @@ from typing import Callable, Literal
 import numpy as np
 
 from .calibration import CanonicalPoissonParams, _frozen_array
-from .esp import design_kernel
 from .samplers import RngStream, SamplingError
 
 __all__ = [
@@ -191,12 +190,7 @@ def total_variation(d1: DesignDistribution, d2: DesignDistribution) -> float:
 def _log_acceptance(params: CanonicalPoissonParams) -> float:
     """log P(Poisson size = n) = log e_m(free odds) + sum log(1 - p_free),
     for rejection-failure diagnostics."""
-    free = params.p < 1.0
-    m = params.n - int((~free).sum())
-    p_free = params.p[free]
-    return design_kernel(p_free / (1.0 - p_free), m).log_esp + float(
-        np.log1p(-p_free).sum()
-    )
+    return params.kernel().log_esp + float(np.log1p(-params.p[params.free]).sum())
 
 
 def cps_sample_rejection_batch(

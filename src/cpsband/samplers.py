@@ -8,10 +8,11 @@ event is.  With equal free odds the law is simple random sampling
 without replacement, and with r slots open and N - j free units left
 the adjusted probability is r / (N - j) in closed form (selection
 sampling: Fan, Muller & Rezucha 1962; Knuth's Algorithm S), so one draw
-takes O(N) time and builds no table.  Other designs read the design
-kernel's table, in O(N n) time and memory.  A rejection sampler of the
-same law is kept beside the enumerations in ``oracle`` as an
-independent check.
+takes O(N) time and builds no table.  Other designs read the table of
+``CanonicalPoissonParams.kernel``, in O(N n) time and memory; the
+parameters also give the certain units and the open slots.  A rejection
+sampler of the same law is kept beside the enumerations in ``oracle``
+as an independent check.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CanonicalPoissonParams, _frozen_array
-from .esp import design_kernel
 
 __all__ = [
     "RngStream",
@@ -93,20 +93,12 @@ def cps_sample_sequential_batch(
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
-    p = params.p
-    n_units = p.shape[0]
-    out = np.zeros((draws, n_units), dtype=np.int8)
-    fixed = p == 1.0
-    out[:, fixed] = 1
-    free = np.flatnonzero(~fixed)
-    m = params.n - int(fixed.sum())
-    if m == 0:
-        return out
-    odds = p[free] / (1.0 - p[free])
-    prob = design_kernel(odds, m).q
-    gen = rng.generator()
-    u = gen.random((draws, free.shape[0]))
-    slots = np.full(draws, m, dtype=np.int64)
+    free = params.free
+    out = np.ones((draws, params.size), dtype=np.int8)
+    out[:, free] = 0
+    prob = params.kernel().q
+    u = rng.generator().random((draws, free.shape[0]))
+    slots = np.full(draws, params.slots, dtype=np.int64)
     for j, unit in enumerate(free):
         take = u[:, j] < prob[slots, j]
         out[take, unit] = 1
@@ -130,13 +122,12 @@ def cps_sample_sequential(
     can fall on the other side.  Otherwise the walk reads q[r, j] from
     the kernel's table, O(N n) to build, and reproduces the row exactly.
     """
-    p = params.p
-    s = (p == 1.0).astype(np.int8)
-    free = np.flatnonzero(s == 0)
-    m = params.n - int(s.sum())
+    free, m = params.free, params.slots
+    s = np.ones(params.size, dtype=np.int8)
+    s[free] = 0
     if m == 0:
         return SampleIndicators.from_array(s)
-    p_free = p[free]
+    p_free = params.p[free]
     n_free = free.shape[0]
     if np.all(p_free == p_free[0]):
         def chance(j: int, r: int) -> float:
@@ -144,7 +135,7 @@ def cps_sample_sequential(
     else:
         # Row j of the unit-major table q.T holds q[:, j], so q[r, j]
         # sits at flat index j (m + 1) + r.
-        flat = design_kernel(p_free / (1.0 - p_free), m).q.T.reshape(-1)
+        flat = params.kernel().q.T.reshape(-1)
 
         def chance(j: int, r: int) -> float:
             return flat[j * (m + 1) + r]

@@ -3,6 +3,8 @@ the truncation constant."""
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from cpsband import (
     canonicalize_poisson,
     cps_inclusion_from_poisson,
     cps_sample_sequential,
+    cps_sample_sequential_batch,
     enumerate_cps_distribution,
     exact_inclusion_orders,
     generate_population,
@@ -25,6 +28,7 @@ from cpsband import (
     solve_truncation_constant,
     total_variation,
 )
+from cpsband.oracle import _log_acceptance
 
 from conftest import design_params
 
@@ -75,7 +79,7 @@ class TestCanonicalize:
     def test_law_invariant_under_canonicalization(self, params):
         # The fixed-size law only depends on odds ratios, so any
         # representative of the equivalence class enumerates identically.
-        shifted = 1 / (1 + np.exp(-(np.log(params.odds) + 0.7)))
+        shifted = 1 / (1 + np.exp(-(np.log(params.p / (1 - params.p)) + 0.7)))
         d_canon = enumerate_cps_distribution(params.p, params.n)
         d_shift = enumerate_cps_distribution(shifted, params.n)
         assert total_variation(d_canon, d_shift) == pytest.approx(0.0, abs=1e-10)
@@ -125,13 +129,13 @@ class TestPoissonFixedSizeMaps:
 
 def _count_forward_maps(monkeypatch) -> list[int]:
     calls = [0]
-    forward = calibration._cps_first_order_raw
+    kernel = calibration.design_kernel
 
-    def counting(p, n):
+    def counting(odds, m):
         calls[0] += 1
-        return forward(p, n)
+        return kernel(odds, m)
 
-    monkeypatch.setattr(calibration, "_cps_first_order_raw", counting)
+    monkeypatch.setattr(calibration, "design_kernel", counting)
     return calls
 
 
@@ -185,22 +189,26 @@ class TestInverseCalibrationSolver:
         calls = _count_forward_maps(monkeypatch)
         params = poisson_from_cps_inclusion(incl)
         assert calls[0] <= 6
-        again = calibration._cps_first_order_raw(params.p, params.n)
+        again = cps_inclusion_from_poisson(params).pi
         assert np.max(np.abs(again - incl.pi)) < 1e-10
 
-    def test_gives_up_with_calibration_error(self):
+    def test_gives_up_with_calibration_error(self, monkeypatch):
         incl = pips_probabilities(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), 2)
-        with pytest.raises(CalibrationError, match="within 2 forward-map"):
-            poisson_from_cps_inclusion(incl, max_iter=2)
+        with monkeypatch.context() as patch:
+            patch.setattr(calibration, "_MAX_FORWARD_MAPS", 2)
+            with pytest.raises(CalibrationError, match="within 2 forward-map"):
+                poisson_from_cps_inclusion(incl)
         # No point meets a zero tolerance, so the safeguard runs out of step.
+        monkeypatch.setattr(calibration, "_TOL", 0.0)
         with pytest.raises(CalibrationError, match="stalled"):
-            poisson_from_cps_inclusion(incl, tol=0.0)
+            poisson_from_cps_inclusion(incl)
 
     def test_has_no_damping_knob(self):
-        with pytest.raises(TypeError):
-            poisson_from_cps_inclusion(
-                InclusionProbabilities(pi=np.array([0.2, 0.8]), n=1), damping=0.8
-            )
+        # Neither damping nor the iteration limits are keywords.
+        incl = InclusionProbabilities(pi=np.array([0.2, 0.8]), n=1)
+        for keyword in ({"damping": 0.8}, {"max_iter": 2}, {"tol": 0.0}):
+            with pytest.raises(TypeError):
+                poisson_from_cps_inclusion(incl, **keyword)
 
 
 class TestLargeDesigns:
@@ -289,4 +297,54 @@ def test_canonical_params_validation():
     with pytest.raises(CalibrationError):
         CanonicalPoissonParams(p=np.array([0.2, 0.5, 0.8]), n=2)
     params = CanonicalPoissonParams(p=np.array([0.5, 0.5, 1.0]), n=2)
-    np.testing.assert_allclose(params.odds[:2], 1.0)
+    p_free = params.p[params.free]
+    np.testing.assert_allclose(p_free / (1 - p_free), 1.0)
+
+
+def test_params_carry_the_reduced_design():
+    # Unit 6 is certain, so the six free units share 4 - 1 = 3 slots.
+    params = canonicalize_poisson(
+        np.array([0.05, 0.3, 0.6, 0.95, 0.5, 0.2, 1.0]), 4
+    )
+    np.testing.assert_array_equal(params.free, np.arange(6))
+    assert params.slots == 3
+    p_free = params.p[:6]
+    kernel = params.kernel()
+    pi_exact, _ = exact_inclusion_orders(enumerate_cps_distribution(p_free, 3))
+    np.testing.assert_allclose(kernel.first_order(), pi_exact, rtol=0.0, atol=1e-14)
+    odds = p_free / (1 - p_free)
+    e3 = sum(np.prod(odds[list(c)]) for c in combinations(range(6), 3))
+    assert kernel.log_esp == pytest.approx(np.log(e3), rel=0.0, abs=1e-14)
+
+
+def _count_kernels(monkeypatch) -> list[int]:
+    calls = [0]
+    kernel = CanonicalPoissonParams.kernel
+
+    def counting(self):
+        calls[0] += 1
+        return kernel(self)
+
+    monkeypatch.setattr(CanonicalPoissonParams, "kernel", counting)
+    return calls
+
+
+UNEQUAL = canonicalize_poisson(np.array([0.2, 0.7, 1.0, 0.4, 0.9, 0.3]), 3)
+EQUAL = CanonicalPoissonParams(p=np.array([0.4, 1.0, 0.4, 0.4, 0.4, 0.4]), n=3)
+
+
+@pytest.mark.parametrize(
+    "call, builds",
+    [
+        (lambda: cps_inclusion_from_poisson(UNEQUAL), 1),
+        (lambda: cps_sample_sequential_batch(UNEQUAL, RngStream(1), 5), 1),
+        (lambda: cps_sample_sequential(UNEQUAL, RngStream(1)), 1),
+        (lambda: _log_acceptance(UNEQUAL), 1),
+        (lambda: cps_sample_sequential(EQUAL, RngStream(1)), 0),
+    ],
+    ids=["forward-map", "batch-draw", "unequal-draw", "log-acceptance", "equal-draw"],
+)
+def test_each_caller_builds_the_kernel_once(monkeypatch, call, builds):
+    calls = _count_kernels(monkeypatch)
+    call()
+    assert calls[0] == builds

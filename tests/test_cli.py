@@ -8,6 +8,13 @@ import json
 import numpy as np
 import pytest
 
+from cpsband import (
+    PopulationFrame,
+    RngStream,
+    SampleIndicators,
+    band_pipeline,
+    pips_probabilities,
+)
 from cpsband.cli import THREADS_ENV_VAR, main
 
 from helpers import weighted_cdf_counts_brute
@@ -215,6 +222,20 @@ def test_band_center_is_the_estimated_cdf(population_csv, tmp_path, estimator):
     want = weighted_cdf_counts_brute(y, weights, t)
     got = np.array([float(r["center"]) for r in band])
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+    # The edges are center -/+ q_hat / sqrt(N) clipped to [0, 1], with
+    # q_hat from the band pipeline on the command's default seed.
+    pop = PopulationFrame(y=y, x=np.array([float(r["x"]) for r in population]))
+    sample = SampleIndicators.from_array(np.array([int(r["s"]) for r in rows]))
+    stats = band_pipeline(
+        pop, pips_probabilities(pop.x, sample.count), sample, (0.95,), 1000,
+        RngStream(0),
+    )
+    halfwidth = stats.quantile(estimator.upper(), 0).q_hat / np.sqrt(len(y))
+    lower = np.array([float(r["lower"]) for r in band])
+    upper = np.array([float(r["upper"]) for r in band])
+    assert np.array_equal(lower, np.clip(got - halfwidth, 0.0, 1.0))
+    assert np.array_equal(upper, np.clip(got + halfwidth, 0.0, 1.0))
+    assert np.any((got - halfwidth < 0.0) | (got + halfwidth > 1.0))
 
 
 def test_sample_method_flag_is_gone(population_csv, tmp_path, capsys):
@@ -306,3 +327,21 @@ def test_band_rejects_nonpositive_size(tmp_path, capsys, value):
         "unit,s\n0,1\n1,0\n2,1\n",
     )
     assert f"population.csv: line 3, unit '1': x '{value}' is not positive" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--gamma", "0"), ("--gamma", "1.5"), ("--quantile-draws", "50")],
+)
+def test_band_checks_flags_before_reading_files(tmp_path, capsys, flag, value):
+    # The population path does not exist, so only a check made before
+    # any file is read can name the flag.
+    out = tmp_path / "band.csv"
+    code = main([
+        "band", "--population", str(tmp_path / "missing.csv"),
+        "--sample", str(tmp_path / "missing_sample.csv"),
+        flag, value, "--out", str(out),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1 and not out.exists()
+    assert err.startswith(f"error: {flag} ") and err.count("\n") == 1

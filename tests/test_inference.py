@@ -9,16 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cpsband import (
+    BandStatistics,
     CanonicalPoissonParams,
-    ConfidenceBand,
     InclusionProbabilities,
     PopulationFrame,
     QuantileEstimate,
     RngStream,
     SampleIndicators,
     band_pipeline,
-    build_band,
-    coverage_check,
     cps_sample_sequential,
     cps_sample_sequential_batch,
     enumerate_cps_distribution,
@@ -356,27 +354,30 @@ class TestFactorFreeDraws:
 
 
 def test_band_construction_and_closed_coverage():
-    center = np.array([0.1, 0.4, 0.9])
-    q = QuantileEstimate(gamma=0.95, q_hat=1.2, mc_draws=1000)
-    band = build_band(center, q, n_units=100)
-    assert band.halfwidth == pytest.approx(0.12)
-    np.testing.assert_allclose(band.lower, np.maximum(center - 0.12, 0.0))
-    np.testing.assert_allclose(band.upper, np.minimum(center + 0.12, 1.0))
-    # Coverage uses <=, so a sup exactly at the quantile still covers.
-    assert coverage_check(1.2, q)
-    assert not coverage_check(1.2000001, q)
+    # Coverage uses <=, so a sup exactly at the quantile still covers and
+    # a hair above does not.
+    q = (QuantileEstimate(gamma=0.95, q_hat=1.2, mc_draws=1000),)
+    stats = BandStatistics(sup_ht=1.2, sup_hajek=1.2000001, q_ht=q, q_hajek=q)
+    assert stats.covered("HT", 0)
+    assert not stats.covered("HAJEK", 0)
 
 
 def test_zero_quantile_band_is_degenerate():
-    q = QuantileEstimate(gamma=0.9, q_hat=0.0, mc_draws=1000)
-    band = build_band(np.array([0.5]), q, n_units=10)
-    assert band.halfwidth == 0.0
-    assert coverage_check(0.0, q)
+    # On a census π ≡ 1, so both sups and both simulated quantiles are
+    # exactly 0, the band has zero half-width and it covers.
+    pop = generate_population(30, RngStream(8))
+    incl = pips_probabilities(pop.x, pop.size)
+    sample = SampleIndicators(np.ones(pop.size, dtype=np.int8), pop.size)
+    stats = band_pipeline(pop, incl, sample, (0.9,), 1000, RngStream(9))
+    for estimator in ("HT", "HAJEK"):
+        assert stats.sup(estimator) == 0.0
+        assert stats.quantile(estimator, 0).q_hat == 0.0
+        assert stats.covered(estimator, 0)
 
 
 def test_band_pipeline_is_the_band_chain():
     # The pipeline's statistics equal the chain written out step by step
-    # from the same stream, and its coverage rule is coverage_check.
+    # from the same stream, and its coverage rule is sup <= q_hat.
     pop = generate_population(120, RngStream(21))
     incl = pips_probabilities(pop.x, 15)
     sample = cps_sample_sequential(poisson_from_cps_inclusion(incl), RngStream(22))
@@ -397,7 +398,7 @@ def test_band_pipeline_is_the_band_chain():
         for j, gamma in enumerate(levels):
             q = stats.quantile(estimator, j)
             assert q == sup_quantile(sorted_sups, gamma)
-            assert stats.covered(estimator, j) == coverage_check(sup, q)
+            assert stats.covered(estimator, j) == (sup <= q.q_hat)
     assert (stats.sup_ht, stats.sup_hajek) == (stats.sup("HT"), stats.sup("HAJEK"))
     assert stats.q_ht[1] == stats.quantile("HT", 1)
     assert stats.q_hajek[2] == stats.quantile("HAJEK", 2)

@@ -14,6 +14,7 @@ from cpsband import (
     RngStream,
     SamplingError,
     SimConfig,
+    calibration,
     canonicalize_poisson,
     cps_sample_rejection_batch,
     cps_sample_sequential,
@@ -25,7 +26,6 @@ from cpsband import (
     generate_population,
     pips_probabilities,
     poisson_from_cps_inclusion,
-    samplers,
     total_variation,
 )
 
@@ -115,7 +115,7 @@ def no_kernel(*args, **kwargs):
 
 
 def test_closed_form_single_draws_follow_the_conditioned_law(monkeypatch):
-    monkeypatch.setattr(samplers, "design_kernel", no_kernel)
+    monkeypatch.setattr(calibration, "design_kernel", no_kernel)
     # N = 7, n = 3: unit 2 is certain and the six free units share
     # p = 1/3, so the law is SRSWOR of two of them.
     p = np.full(7, 1.0 / 3.0)
@@ -141,7 +141,7 @@ def test_closed_form_single_draws_follow_the_conditioned_law(monkeypatch):
 
 def test_equal_draw_builds_no_kernel(monkeypatch):
     # At N = 1e4, n = 5000 the kernel's table alone would take 400 MB.
-    monkeypatch.setattr(samplers, "design_kernel", no_kernel)
+    monkeypatch.setattr(calibration, "design_kernel", no_kernel)
     params = CanonicalPoissonParams(p=np.full(10_000, 0.5), n=5_000)
     sample = cps_sample_sequential(params, RngStream(1))
     assert sample.s.shape == (10_000,) and sample.count == 5_000

@@ -18,7 +18,10 @@ p / (1 - p).  ``CanonicalPoissonParams`` carries that reduction once
 the oracle.
 
 Plus the weight-truncation constant θ of the large-sample covariance
-formulas, which inference.limit_cov_ht and limit_cov_hajek take.
+formulas, which inference.limit_cov_ht and limit_cov_hajek take.  It
+solves the same clipped-proportional equation as the first conversion,
+sum_i min(c x_i, 1) = total, and both take c from one exact
+water-filling solve.
 """
 
 from __future__ import annotations
@@ -152,13 +155,27 @@ class CanonicalPoissonParams:
         return design_kernel(p_free / (1.0 - p_free), self.slots)
 
 
+def _clipped_scale(x: np.ndarray, total: float) -> tuple[float, np.ndarray]:
+    """The scale c with sum_i min(c x_i, 1) = total, for positive x and
+    0 < total < len(x), and the indices of the units it clips.
+
+    Water-filling: with x sorted in decreasing order and S_k the sum of
+    x_(k), x_(k+1), ..., the clipped units are the k largest for the
+    smallest k with (total - k) x_(k) <= S_k, and c = (total - k) / S_k.
+    """
+    order = np.argsort(-x, kind="stable")
+    desc = x[order]
+    tail_sums = np.cumsum(desc[::-1])[::-1]
+    k = int(np.argmax((total - np.arange(desc.shape[0])) * desc <= tail_sums))
+    return (total - k) / float(desc[k:].sum()), order[:k]
+
+
 def pips_probabilities(x: np.ndarray, n: int) -> InclusionProbabilities:
-    """Clipped proportional-to-size probabilities pi_i = min(c x_i / sum x, 1)
+    """Clipped proportional-to-size probabilities pi_i = min(c x_i, 1)
     with the constant c solved so that sum pi = n.
 
-    The constraint function is continuous, piecewise linear and
-    nondecreasing in c, so plain bisection is robust to the kinks the
-    clipping introduces.
+    The solve is exact (``_clipped_scale``), so the clipped units get
+    pi = 1.0 and equal sizes give pi = n / N.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -170,28 +187,9 @@ def pips_probabilities(x: np.ndarray, n: int) -> InclusionProbabilities:
         raise CalibrationError("auxiliary sizes must be finite and positive")
     if n == n_units:
         return InclusionProbabilities(pi=np.ones(n_units), n=n)
-
-    shares = x / x.sum()
-
-    def expected_size(c: float) -> float:
-        return float(np.minimum(c * shares, 1.0).sum())
-
-    lo, hi = 0.0, n / shares.min()
-    c = hi
-    for _ in range(200):
-        c = 0.5 * (lo + hi)
-        value = expected_size(c)
-        if abs(value - n) <= 1e-12:
-            break
-        if value < n:
-            lo = c
-        else:
-            hi = c
-    pi = np.minimum(c * shares, 1.0)
-    # The bisection residual is below 1e-12; spread it over the unclipped
-    # units so the reported probabilities sum to n exactly.
-    free = pi < 1.0
-    pi[free] += (n - pi.sum()) / free.sum()
+    c, clipped = _clipped_scale(x, n)
+    pi = np.minimum(c * x, 1.0)
+    pi[clipped] = 1.0
     return InclusionProbabilities(pi=pi, n=n)
 
 
@@ -403,8 +401,9 @@ def solve_truncation_constant(alpha: float, w_samples: np.ndarray) -> float:
     """The unique positive constant theta with
     mean_i min(theta * w_i / mean(w), 1) = alpha.
 
-    The left side is continuous and nondecreasing in theta, so bisection
-    on [0, mean(w)/min(w)] converges to the unique root.
+    That is sum_i min(c w_i, 1) = alpha N with c = theta / mean(w), the
+    equation ``pips_probabilities`` solves, so theta comes from the same
+    exact solve.
     """
     if not 0.0 < alpha < 1.0:
         raise CalibrationError("alpha must lie in (0, 1)")
@@ -413,20 +412,5 @@ def solve_truncation_constant(alpha: float, w_samples: np.ndarray) -> float:
         raise CalibrationError("w_samples must be a nonempty 1-d array")
     if np.any(w <= 0) or not np.all(np.isfinite(w)):
         raise CalibrationError("weights must be finite and positive")
-    mean_w = float(w.mean())
-    scaled = w / mean_w
-
-    def coverage(theta: float) -> float:
-        return float(np.minimum(theta * scaled, 1.0).mean())
-
-    lo, hi = 0.0, mean_w / float(w.min()) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        value = coverage(mid)
-        if abs(value - alpha) <= 1e-10:
-            return mid
-        if value < alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    c, _ = _clipped_scale(w, alpha * w.shape[0])
+    return c * float(w.mean())

@@ -210,6 +210,12 @@ def _cmd_band(args: argparse.Namespace) -> int:
         estimator=args.estimator, gamma=args.gamma, seed=args.seed,
     )
     incl = pips_probabilities(pop.x, sample.count)
+    left_out = np.flatnonzero((incl.pi == 1.0) & (sample.s == 0))
+    if left_out.size:
+        raise ValueError(
+            f"{args.sample}: unit {units[left_out[0]]!r} has s = 0 "
+            "but inclusion probability 1"
+        )
     stats = band_pipeline(
         pop, incl, sample, (args.gamma,), args.quantile_draws, RngStream(args.seed)
     )

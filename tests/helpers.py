@@ -62,3 +62,19 @@ def binomial_central_interval(
     lo = int(np.searchsorted(cdf, tail, side="left"))
     hi = int(np.searchsorted(cdf, 1.0 - tail, side="left"))
     return lo, hi
+
+
+def pips_exact(x: list[int], n: int) -> np.ndarray:
+    """Clipped size-proportional probabilities min(c x_i, 1) with
+    sum = n, by water-filling in exact rational arithmetic: clip every
+    unit with c x_i >= 1 and solve c again until the clipped set stays
+    the same.  Each entry is the exact value rounded once to a float."""
+    clipped: set[int] = set()
+    while True:
+        free = [i for i in range(len(x)) if i not in clipped]
+        c = Fraction(n - len(clipped), sum(x[i] for i in free))
+        again = {i for i in range(len(x)) if c * x[i] >= 1}
+        if again == clipped:
+            break
+        clipped = again
+    return np.array([1.0 if i in clipped else float(c * x[i]) for i in range(len(x))])

@@ -31,6 +31,14 @@ from cpsband import (
 from cpsband.oracle import _log_acceptance
 
 from conftest import design_params
+from helpers import pips_exact
+
+
+def ulps(actual, expected) -> float:
+    """Largest distance of ``actual`` from ``expected`` in units in the
+    last place of ``expected``."""
+    expected = np.asarray(expected, dtype=float)
+    return float(np.max(np.abs(actual - expected) / np.spacing(np.abs(expected))))
 
 
 class TestPipsProbabilities:
@@ -60,6 +68,37 @@ class TestPipsProbabilities:
         assert np.all(incl.pi > 0) and np.all(incl.pi <= 1.0)
         order = np.argsort(x)
         assert np.all(np.diff(incl.pi[order]) >= -1e-12)
+
+    def test_equal_sizes_give_n_over_N_exactly(self):
+        cells = [(2000, 240), (50_000, 2000), (50_000, 2500)]
+        for n_units in range(1, 301):
+            sizes = {1, n_units - 1}
+            sizes |= {round(f * n_units) for f in (0.05, 0.10, 0.12, 0.50)}
+            cells += [(n_units, n) for n in sorted(sizes) if 1 <= n <= n_units]
+        for n_units, n in cells:
+            pi = pips_probabilities(np.ones(n_units), n).pi
+            assert np.array_equal(pi, np.full(n_units, n / n_units)), (n_units, n)
+
+    @given(st.lists(st.integers(1, 30), min_size=2, max_size=40), st.data())
+    def test_matches_exact_water_filling(self, x, data):
+        n = data.draw(st.integers(1, len(x) - 1))
+        expected = pips_exact(x, n)
+        pi = pips_probabilities(np.array(x, dtype=float), n).pi
+        assert ulps(pi, expected) <= 4
+        assert np.all(pi[expected == 1.0] == 1.0)
+
+    def test_heavy_tailed_sizes_at_a_million_units(self):
+        x = np.random.default_rng(7).lognormal(0.0, 2.0, 1_000_000)
+        pi = pips_probabilities(x, 100_000).pi
+        assert abs(float(pi.sum()) - 100_000) <= calibration.SUM_TOL
+        assert np.all(pi > 0.0) and np.all(pi <= 1.0)
+        # The unclipped units share one scale; every unit that scale puts
+        # above 1 must be clipped to exactly 1.0.
+        unclipped = pi < 1.0
+        scale = float(np.median(pi[unclipped] / x[unclipped]))
+        must_clip = scale * x > 1.0 + 1e-9
+        assert must_clip.sum() > 1000
+        assert np.all(pi[must_clip] == 1.0)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(CalibrationError):
@@ -266,14 +305,14 @@ def test_renormalization_early_exit_is_bit_identical():
 class TestTruncationConstant:
     def test_constant_weights_recover_alpha(self):
         w = np.ones(1000)
-        assert solve_truncation_constant(0.25, w) == pytest.approx(0.25, abs=1e-9)
+        assert ulps(solve_truncation_constant(0.25, w), 0.25) <= 4
 
     def test_two_point_weights_hand_solution(self):
         # mean w = 2; for alpha = 0.9 the larger weight clips at 1 and
         # 0.5 (theta/2 + 1) = 0.9 gives theta = 1.6.
         w = np.array([1.0, 3.0])
-        assert solve_truncation_constant(0.9, w) == pytest.approx(1.6, abs=1e-9)
-        assert solve_truncation_constant(0.5, w) == pytest.approx(0.5, abs=1e-9)
+        assert ulps(solve_truncation_constant(0.9, w), 1.6) <= 4
+        assert ulps(solve_truncation_constant(0.5, w), 0.5) <= 4
 
     def test_agrees_with_pips_on_the_same_sample(self):
         # Both solve sum(min(c w, 1)) = n, so kappa equals the pips
@@ -283,7 +322,7 @@ class TestTruncationConstant:
         theta = solve_truncation_constant(0.1, w)
         mean_w = float(w.mean())
         kappa = np.minimum(theta * w / mean_w, 1.0)
-        np.testing.assert_allclose(kappa, pips_probabilities(w, 20).pi, atol=1e-8)
+        assert ulps(kappa, pips_probabilities(w, 20).pi) <= 4
 
 
 def test_population_frame_validation():

@@ -319,6 +319,16 @@ def test_band_rejects_sample_with_no_sampled_unit(tmp_path, capsys):
     assert "sample.csv: no unit has s = 1" in err
 
 
+def test_band_rejects_sample_without_a_certain_unit(tmp_path, capsys):
+    # At n = 2 the size-proportional design gives unit 3 (x = 10 against
+    # a total of 13) inclusion probability 1, so no sample leaves it out.
+    err = band_error(
+        tmp_path, capsys, "unit,y,x\n0,1.5,1.0\n1,0.2,1.0\n2,3.1,1.0\n3,2.2,10.0\n",
+        "unit,s\n0,1\n1,1\n2,0\n3,0\n",
+    )
+    assert "sample.csv: unit '3' has s = 0 but inclusion probability 1" in err
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_band_rejects_nonpositive_size(tmp_path, capsys, value):
     # Calibration needs every x > 0; the reader names the offending row.

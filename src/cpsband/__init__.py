@@ -26,7 +26,6 @@ from .inference import (
 )
 from .oracle import (
     DesignDistribution,
-    cps_sample_rejection_batch,
     empirical_cps_distribution,
     enumerate_cps_distribution,
     enumerate_poisson_distribution,
@@ -39,8 +38,8 @@ from .samplers import (
     RngStream,
     SampleIndicators,
     SamplingError,
+    cps_sample_rejection_batch,
     cps_sample_sequential,
-    cps_sample_sequential_batch,
 )
 from .simulate import (
     CoverageReport,
@@ -74,7 +73,6 @@ __all__ = [
     "cps_inclusion_from_poisson",
     "cps_sample_rejection_batch",
     "cps_sample_sequential",
-    "cps_sample_sequential_batch",
     "empirical_cps_distribution",
     "enumerate_cps_distribution",
     "enumerate_poisson_distribution",

@@ -14,8 +14,8 @@ A parameter vector fixes its fixed-size law together with n: units
 with p = 1 are always sampled, and the free units (p < 1) share the
 n - #certain open slots through one design kernel over their odds
 p / (1 - p).  ``CanonicalPoissonParams`` carries that reduction once
-(``free``, ``slots``, ``kernel``) for the forward map, the sampler and
-the oracle.
+(``free``, ``slots``, ``kernel``): the forward map reads the kernel, and
+the sampler reads the certain units and the open slots.
 
 Plus the weight-truncation constant θ of the large-sample covariance
 formulas, which inference.limit_cov_ht and limit_cov_hajek take.  It

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import (
+    InclusionProbabilities,
     PopulationFrame,
     cps_inclusion_from_poisson,
     pips_probabilities,
@@ -39,8 +40,8 @@ from .processes import step_values
 from .samplers import (
     RngStream,
     SampleIndicators,
+    cps_sample_rejection_batch,
     cps_sample_sequential,
-    cps_sample_sequential_batch,
 )
 from .simulate import SimConfig, format_report, run_experiment
 
@@ -129,26 +130,45 @@ def _read_population(path: Path) -> tuple[list[str], PopulationFrame]:
     return units, PopulationFrame(y=np.array(ys), x=np.array(xs))
 
 
-def _read_sample(path: Path, units: list[str]) -> SampleIndicators:
+def _read_sample(
+    path: Path, units: list[str], x: np.ndarray
+) -> tuple[SampleIndicators, InclusionProbabilities]:
+    """The sample indicators in population order and the design's pi,
+    pips on x at the drawn size.  A ``pi`` column, as ``sample`` writes
+    it, must match that pi within 1e-9."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
         if "unit" not in header or "s" not in header:
             raise ValueError(f"{path}: sample CSV needs unit and s columns")
         unit_col, s_col = header.index("unit"), header.index("s")
-        by_unit = {}
+        pi_col = header.index("pi") if "pi" in header else None
+        by_unit, stated = {}, {}
         for row in _unit_rows(path, reader, header):
             unit, s = row[unit_col], row[s_col]
             if s.strip() not in ("0", "1"):
                 raise _row_error(path, reader, unit, f"s {s!r} is not 0 or 1")
             by_unit[unit] = int(s)
+            if pi_col is not None:
+                text = row[pi_col]
+                stated[unit] = (text, _number(path, reader, unit, "pi", text))
     missing = [u for u in units if u not in by_unit]
     if missing or len(by_unit) != len(units):
         raise ValueError(f"{path}: sample units do not match the population")
     sample = SampleIndicators.from_array(np.array([by_unit[u] for u in units]))
     if sample.count == 0:
         raise ValueError(f"{path}: no unit has s = 1")
-    return sample
+    incl = pips_probabilities(x, sample.count)
+    if stated:
+        values = np.array([stated[u][1] for u in units])
+        wrong = np.flatnonzero(np.abs(values - incl.pi) > 1e-9)
+        if wrong.size:
+            unit = units[wrong[0]]
+            raise ValueError(
+                f"{path}: unit {unit!r}: pi {stated[unit][0]!r} "
+                f"is not the design's {_fmt(incl.pi[wrong[0]])}"
+            )
+    return sample, incl
 
 
 def _resolve_threads(flag: int | None, fallback: int) -> int:
@@ -204,12 +224,11 @@ def _cmd_band(args: argparse.Namespace) -> int:
             f"--quantile-draws must be at least 100, got {args.quantile_draws}"
         )
     units, pop = _read_population(Path(args.population))
-    sample = _read_sample(Path(args.sample), units)
+    sample, incl = _read_sample(Path(args.sample), units, pop.x)
     _log_resolution(
         args, population=args.population, sample=args.sample,
         estimator=args.estimator, gamma=args.gamma, seed=args.seed,
     )
-    incl = pips_probabilities(pop.x, sample.count)
     left_out = np.flatnonzero((incl.pi == 1.0) & (sample.s == 0))
     if left_out.size:
         raise ValueError(
@@ -311,7 +330,7 @@ def _cmd_oracle_check(args: argparse.Namespace) -> int:
 
     x, n = _oracle_instance(gen)
     params = poisson_from_cps_inclusion(pips_probabilities(x, n))
-    draws = cps_sample_sequential_batch(params, RngStream(args.seed), 20_000)
+    draws = cps_sample_rejection_batch(params, RngStream(args.seed), 20_000)
     tv = total_variation(
         empirical_cps_distribution(draws), enumerate_cps_distribution(params.p, n)
     )

@@ -13,12 +13,14 @@ runs the backward recursion of Chen, Dempster & Liu (1994, Biometrika
 
 which follows from e_r(o_j..) = e_r(o_{j+1}..) + o_j e_{r-1}(o_{j+1}..)
 and uses only additions, multiplications and divisions of positive
-numbers.  The same pass yields the sequential sampler's conditional
-inclusion probabilities q[r, j] = o_j / (1 / R[r, j+1] + o_j): the
-chance that unit j enters when r slots are open for units j..N-1
-(Tille 2006, Sampling Algorithms, ch. 5).  A forward pass over the
-distribution of open slots then gives the exact first-order inclusion
-probabilities pi_j = sum_r P(r open at j) q[r, j].
+numbers.  The same pass yields the conditional inclusion probabilities
+q[r, j] = o_j / (1 / R[r, j+1] + o_j): the chance that unit j enters
+when r slots are open for units j..N-1 (Tille 2006, Sampling
+Algorithms, ch. 5).  A forward pass over the distribution of open slots
+then gives the exact first-order inclusion probabilities
+pi_j = sum_r P(r open at j) q[r, j], and the last ratios give
+log e_m(o), from which the rejection sampler's budget error states its
+acceptance probability.  No sampler reads the table.
 """
 
 from __future__ import annotations

@@ -1,22 +1,23 @@
 """The sampler for the conditioned fixed-size design.
 
 The fixed-size law is that of independent Bernoulli(p_i) indicators
-conditioned on their total.  The sequential sampler realizes it
-exactly: it walks the units once and adjusts each inclusion probability
-to the number of slots still open, however unlikely the conditioning
-event is.  With equal free odds the law is simple random sampling
-without replacement, and with r slots open and N - j free units left
-the adjusted probability is r / (N - j) in closed form (selection
-sampling: Fan, Muller & Rezucha 1962; Knuth's Algorithm S), so one draw
-takes O(N) time and builds no table.  Other designs read the table of
-``CanonicalPoissonParams.kernel``, in O(N n) time and memory; the
-parameters also give the certain units and the open slots.  A rejection
-sampler of the same law is kept beside the enumerations in ``oracle``
-as an independent check.
+conditioned on their total n.  That is Hájek's (1964) rejective
+sampling, so drawing Poisson(p) samples until one has size n samples the
+law exactly; ``cps_sample_rejection_batch`` filters blocks of such
+proposals.  Under the canonical p (sum p = n) the size n is the mode of
+the Poisson sample size (Darroch 1964), and a draw takes about
+sqrt(2 pi d) proposals, d = sum p (1 - p), with no table of the design.
+``cps_sample_sequential`` draws one sample.  With equal free p its law
+is simple random sampling without replacement, and with r slots open
+and N - j free units left it takes unit j with probability r / (N - j)
+in closed form (selection sampling: Fan, Muller & Rezucha 1962; Knuth's
+Algorithm S), in O(N) time.  Any other design takes the first row of
+the rejection batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,9 +28,21 @@ __all__ = [
     "RngStream",
     "SampleIndicators",
     "SamplingError",
+    "cps_sample_rejection_batch",
     "cps_sample_sequential",
-    "cps_sample_sequential_batch",
 ]
+
+# Under sum p = n the size n is the mode of the Poisson sample size
+# (Darroch 1964), so P(|S| = n) >= 1 / (N + 1), the largest mass among
+# the N + 1 sizes.  With a budget of _ATTEMPTS_PER_SIZE (N + 1)
+# proposals per draw, one draw goes unfilled with probability at most
+# (1 - 1 / (N + 1))^(40 (N + 1)) <= e^-40 ~ 4e-18, and k draws (a
+# binomial count of mean >= 40 k falling short of k) with probability at
+# most e^(-19 k) by Chernoff's bound.
+_ATTEMPTS_PER_SIZE = 40
+# A block of proposals holds at most about 2^22 uniforms (32 MiB), so
+# memory stays bounded however large N is.
+_BLOCK_UNIFORMS = 2**22
 
 
 class SamplingError(RuntimeError):
@@ -79,48 +92,65 @@ class SampleIndicators:
         return cls(s=arr, count=int(arr.sum()))
 
 
-def cps_sample_sequential_batch(
+def _log_acceptance(params: CanonicalPoissonParams) -> float:
+    """log P(Poisson size = n) = log e_m(free odds) + sum log(1 - p_free),
+    from the design kernel, for the budget error's expected attempts."""
+    return params.kernel().log_esp + float(np.log1p(-params.p[params.free]).sum())
+
+
+def cps_sample_rejection_batch(
     params: CanonicalPoissonParams,
     rng: RngStream,
     draws: int,
 ) -> np.ndarray:
-    """Draw ``draws`` fixed-size samples in one vectorized pass.
+    """Draw ``draws`` fixed-size samples as a (draws, N) array.
 
-    Units are visited in index order.  With r slots still open before
-    unit j, the unit enters with probability
-    odds_j * e_{r-1}(odds after j) / e_r(odds from j on), all draws
-    sharing the design kernel's table q of those probabilities.
+    The rows are the first ``draws`` Poisson(p) proposals of size n in
+    one stream of proposals, drawn and filtered in blocks.  A block
+    holds 2 sqrt(2 pi max(d, 1)) proposals, about twice the expected
+    count, for each draw still missing, up to ``_BLOCK_UNIFORMS``
+    uniforms.  When the budget of ``_ATTEMPTS_PER_SIZE`` (N + 1)
+    proposals per draw runs out, SamplingError reports the expected
+    number of attempts per draw.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
-    free = params.free
-    out = np.ones((draws, params.size), dtype=np.int8)
-    out[:, free] = 0
-    prob = params.kernel().q
-    u = rng.generator().random((draws, free.shape[0]))
-    slots = np.full(draws, params.slots, dtype=np.int64)
-    for j, unit in enumerate(free):
-        take = u[:, j] < prob[slots, j]
-        out[take, unit] = 1
-        slots -= take
-    if np.any(slots != 0):
-        raise SamplingError("sequential sampler failed to fill every slot")
-    return out
+    p = params.p
+    n_units = p.shape[0]
+    per_draw = math.ceil(
+        2.0 * math.sqrt(2.0 * math.pi * max(float((p * (1.0 - p)).sum()), 1.0))
+    )
+    most = max(1, _BLOCK_UNIFORMS // n_units)
+    budget = draws * _ATTEMPTS_PER_SIZE * (n_units + 1)
+    gen = rng.generator()
+    spent = 0
+    parts: list[np.ndarray] = []
+    got = 0
+    while got < draws:
+        block = min(per_draw * (draws - got), most, budget - spent)
+        if block <= 0:
+            expected = math.exp(-_log_acceptance(params))
+            raise SamplingError(
+                f"{got} of {draws} samples after {spent} proposals; "
+                f"expected attempts per draw is {expected:.12g}"
+            )
+        proposal = gen.random((block, n_units)) < p
+        spent += block
+        accepted = proposal[np.count_nonzero(proposal, axis=1) == params.n]
+        parts.append(accepted)
+        got += accepted.shape[0]
+    return np.concatenate(parts)[:draws].astype(np.int8)
 
 
 def cps_sample_sequential(
     params: CanonicalPoissonParams, rng: RngStream
 ) -> SampleIndicators:
-    """Draw one fixed-size sample by a scalar walk over the free units.
+    """Draw one fixed-size sample.
 
-    The walk reads the same uniforms as the first row of
-    cps_sample_sequential_batch on the same stream.  With equal free
-    odds it takes free unit j while r slots are open when
-    u_j < r / (N - j), N counting the free units, in O(N) time with no
-    design kernel; that row is then reproduced except when a uniform
-    lies within a few ulps of r / (N - j), where the kernel's rounded q
-    can fall on the other side.  Otherwise the walk reads q[r, j] from
-    the kernel's table, O(N n) to build, and reproduces the row exactly.
+    With equal free p a scalar walk reads one uniform per free unit and
+    takes free unit j while r slots are open when u_j < r / (N - j),
+    N counting the free units.  Any other design returns row 0 of
+    cps_sample_rejection_batch on the same stream.
     """
     free, m = params.free, params.slots
     s = np.ones(params.size, dtype=np.int8)
@@ -128,21 +158,13 @@ def cps_sample_sequential(
     if m == 0:
         return SampleIndicators.from_array(s)
     p_free = params.p[free]
+    if not np.all(p_free == p_free[0]):
+        return SampleIndicators.from_array(cps_sample_rejection_batch(params, rng, 1)[0])
     n_free = free.shape[0]
-    if np.all(p_free == p_free[0]):
-        def chance(j: int, r: int) -> float:
-            return r / (n_free - j)
-    else:
-        # Row j of the unit-major table q.T holds q[:, j], so q[r, j]
-        # sits at flat index j (m + 1) + r.
-        flat = params.kernel().q.T.reshape(-1)
-
-        def chance(j: int, r: int) -> float:
-            return flat[j * (m + 1) + r]
-    u = rng.generator().random((1, n_free))[0].tolist()
+    u = rng.generator().random(n_free).tolist()
     slots = m
     for j, unit in enumerate(free.tolist()):
-        if u[j] < chance(j, slots):
+        if u[j] < slots / (n_free - j):
             s[unit] = 1
             slots -= 1
     if slots != 0:

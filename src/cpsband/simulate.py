@@ -47,9 +47,11 @@ class SimConfig:
     calibrator a constant size, so every unit gets inclusion probability
     n/N, while "proportional" calibrates on the auxiliary x, tilting
     inclusion toward large units.  Equal inclusion is the default; the
-    reference coverage and width figures were produced under it.  The
-    sequential sampler is the only ``sampler``; the field names it in
-    the report header and CSV.
+    reference coverage and width figures were produced under it.  One
+    sampler draws every design: selection sampling when the free p are
+    equal, block rejection otherwise.  ``sampler="sequential"`` (named
+    in the report header and CSV) and the name ``cps_sample_sequential``
+    stay only because the ``perfbench`` workloads pass and call them.
     """
 
     population_size: int

@@ -39,6 +39,14 @@ def weighted_cdf_counts_brute(
     return np.concatenate(out)
 
 
+def bounded_size_model(gen: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(y, x) for m units: sizes x ~ U(0.5, 2) and outcomes
+    y = x + N(0, x²), so size-proportional weights 1/π stay within a
+    factor 4 of each other."""
+    x = gen.uniform(0.5, 2.0, size=m)
+    return x + gen.normal(0.0, x), x
+
+
 def binomial_central_interval(
     trials: int, prob: float, confidence: float
 ) -> tuple[int, int]:

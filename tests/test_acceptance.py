@@ -15,12 +15,12 @@ import pytest
 
 from cpsband import (
     CanonicalPoissonParams,
+    PopulationFrame,
     RngStream,
     SimConfig,
     canonicalize_poisson,
     cps_inclusion_from_poisson,
     cps_sample_rejection_batch,
-    cps_sample_sequential_batch,
     empirical_cps_distribution,
     enumerate_cps_distribution,
     exact_inclusion_orders,
@@ -28,10 +28,13 @@ from cpsband import (
     pips_probabilities,
     poisson_from_cps_inclusion,
     run_experiment,
+    run_replication,
     simulate_sup_norms,
     sup_quantile,
     total_variation,
 )
+
+from helpers import bounded_size_model
 
 LEVELS = (0.90, 0.95, 0.99)
 HT_COVERAGE_REF = (0.866, 0.913, 0.990)
@@ -129,25 +132,14 @@ def test_criterion_05_sampler_total_variation():
     params = CanonicalPoissonParams(p=p, n=3)
     exact = enumerate_cps_distribution(params.p, params.n)
     draws = 200_000
-    rng = RngStream(424242)
-    tv_seq = total_variation(
+    tv = total_variation(
         exact,
         empirical_cps_distribution(
-            cps_sample_sequential_batch(params, rng.substream(0), draws)
+            cps_sample_rejection_batch(params, RngStream(424242).substream(1), draws)
         ),
     )
-    tv_rej = total_variation(
-        exact,
-        empirical_cps_distribution(
-            cps_sample_rejection_batch(params, rng.substream(1), draws)
-        ),
-    )
-    print(
-        f"criterion 05: TV sequential {tv_seq:.4f}, rejection {tv_rej:.4f} "
-        "vs < 0.01 (N=8, n=3, 2e5 draws)"
-    )
-    assert tv_seq < 0.01
-    assert tv_rej < 0.01
+    print(f"criterion 05: sampler TV {tv:.4f} vs < 0.01 (N=8, n=3, 2e5 draws)")
+    assert tv < 0.01
 
 
 def test_criterion_06_calibration_round_trip():
@@ -249,3 +241,40 @@ def test_criterion_10_thread_count_determinism():
         f"criterion 10: reports byte-identical across threads (1, 4, 16) = {same}"
     )
     assert same
+
+
+# Pooled coverage of 4000 replications (seed 20261011, replications
+# 0-3999) of criterion 11's design, on seeds the test does not use.
+PROPORTIONAL_HT_REF = (0.8765, 0.93575, 0.98225)
+PROPORTIONAL_HAJEK_REF = (0.86725, 0.93225, 0.984)
+
+
+def test_criterion_11_proportional_coverage():
+    # x ~ U(0.5, 2) keeps the weights 1/π within a factor 4, so HT and
+    # Hájek differ here, unlike under the equal design of 01/02.
+    replications = 400
+    config = SimConfig(
+        population_size=500,
+        sampling_fraction=0.10,
+        replications=replications,
+        levels=LEVELS,
+        design="proportional",
+        master_seed=1111,
+    )
+    hits = {"HT": np.zeros(len(LEVELS)), "HAJEK": np.zeros(len(LEVELS))}
+    for rep in range(replications):
+        gen = RngStream(config.master_seed).substream(rep, 0).generator()
+        y, x = bounded_size_model(gen, config.population_size)
+        stats = run_replication(config, rep, population=PopulationFrame(y=y, x=x))
+        for estimator, count in hits.items():
+            count += [stats.covered(estimator, j) for j in range(len(LEVELS))]
+    for estimator, ref in (("HT", PROPORTIONAL_HT_REF), ("HAJEK", PROPORTIONAL_HAJEK_REF)):
+        got = hits[estimator] / replications
+        se = np.sqrt(np.array(ref) * (1.0 - np.array(ref)) / replications)
+        print(
+            f"criterion 11: {estimator} proportional coverage "
+            f"({', '.join(f'{c:.3f}' for c in got)}) vs reference {ref} "
+            f"+/- 4 SE, SE ({', '.join(f'{s:.4f}' for s in se)}) "
+            f"(N=500, B={replications})"
+        )
+        assert np.all(np.abs(got - ref) <= 4.0 * se), estimator

@@ -18,8 +18,8 @@ from cpsband import (
     RngStream,
     canonicalize_poisson,
     cps_inclusion_from_poisson,
+    cps_sample_rejection_batch,
     cps_sample_sequential,
-    cps_sample_sequential_batch,
     enumerate_cps_distribution,
     exact_inclusion_orders,
     generate_population,
@@ -28,7 +28,7 @@ from cpsband import (
     solve_truncation_constant,
     total_variation,
 )
-from cpsband.oracle import _log_acceptance
+from cpsband.samplers import _log_acceptance
 
 from conftest import design_params
 from helpers import pips_exact
@@ -376,8 +376,8 @@ EQUAL = CanonicalPoissonParams(p=np.array([0.4, 1.0, 0.4, 0.4, 0.4, 0.4]), n=3)
     "call, builds",
     [
         (lambda: cps_inclusion_from_poisson(UNEQUAL), 1),
-        (lambda: cps_sample_sequential_batch(UNEQUAL, RngStream(1), 5), 1),
-        (lambda: cps_sample_sequential(UNEQUAL, RngStream(1)), 1),
+        (lambda: cps_sample_rejection_batch(UNEQUAL, RngStream(1), 5), 0),
+        (lambda: cps_sample_sequential(UNEQUAL, RngStream(1)), 0),
         (lambda: _log_acceptance(UNEQUAL), 1),
         (lambda: cps_sample_sequential(EQUAL, RngStream(1)), 0),
     ],

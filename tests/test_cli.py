@@ -355,3 +355,29 @@ def test_band_checks_flags_before_reading_files(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert code == 1 and not out.exists()
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+def test_band_rejects_a_sample_drawn_under_another_design(population_csv, tmp_path, capsys):
+    # The sample file states each unit's pi under the population it was
+    # drawn from; against a population whose unit 5 is three times
+    # larger, every pi moves and band names the first unit that differs.
+    sample_out = tmp_path / "drawn.csv"
+    assert main([
+        "sample", "--population", str(population_csv),
+        "--size", "8", "--seed", "3", "--out", str(sample_out),
+    ]) == 0
+    population = read_rows(population_csv)
+    population[5]["x"] = repr(3.0 * float(population[5]["x"]))
+    population_text = "unit,y,x\n" + "".join(
+        f"{r['unit']},{r['y']},{r['x']}\n" for r in population
+    )
+    sample_text = sample_out.read_text()
+    stated = read_rows(sample_out)[0]["pi"]
+    err = band_error(tmp_path, capsys, population_text, sample_text)
+    assert f"sample.csv: unit '0': pi '{stated}' is not the design's " in err
+    # A pi that is no number is named with its line.
+    err = band_error(
+        tmp_path, capsys, POPULATION_0_TO_3,
+        "unit,pi,s\n0,0.5,1\n1,abc,0\n2,0.5,1\n3,0.5,0\n",
+    )
+    assert "sample.csv: line 3, unit '1': pi 'abc' is not a finite number" in err

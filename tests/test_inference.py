@@ -17,8 +17,8 @@ from cpsband import (
     RngStream,
     SampleIndicators,
     band_pipeline,
+    cps_sample_rejection_batch,
     cps_sample_sequential,
-    cps_sample_sequential_batch,
     enumerate_cps_distribution,
     estimate_cov_hajek,
     estimate_cov_ht,
@@ -38,6 +38,7 @@ from cpsband import (
 from cpsband.inference import _gaussian_paths, _sampled_indicators, _z_scores
 
 from conftest import design_with_population
+from helpers import bounded_size_model
 
 # Enumerated pins for p = (0.25, 0.35, 0.45, 0.55, 0.65, 0.75), n = 3,
 # y = (0.8, 0.1, 1.4, 0.5, 2.0, 1.1), threshold 0.8: the exact design
@@ -151,33 +152,28 @@ class TestLimitCovariance:
         )
         assert hj.value == pytest.approx(ht.value, abs=4 * ht.stderr + 1e-3)
 
-    @staticmethod
-    def bounded_size_model(gen, m):
-        # Bounded sizes keep the design weights 1/π within a factor 4, so
-        # the plug-in's design law is not too skewed for 25 draws a
-        # population; the harness's lognormal sizes reach weights ~10⁵/N.
-        x = gen.uniform(0.5, 2.0, size=m)
-        return x + gen.normal(0.0, x), x
-
     def test_plug_in_converges_to_limit(self):
         # The mean plug-in variance over CPS samples of proportional
         # designs at N = 4000, alpha = 0.1 against the analytic limit with
         # θ solved from the size law; 8 populations × 25 samples, within
         # 4 standard errors of the between-population spread and the
-        # limit's own Monte Carlo error.
+        # limit's own Monte Carlo error.  Bounded sizes keep the design
+        # weights 1/π within a factor 4, so the plug-in's design law is
+        # not too skewed for 25 draws a population; the harness's
+        # lognormal sizes reach weights ~10⁵/N.
         n_units, alpha, populations, draws = 4000, 0.1, 8, 25
         thresholds = np.array([0.5, 1.0, 2.5])
         root = RngStream(2026)
-        _, sizes = self.bounded_size_model(root.substream(0).generator(), 200_000)
+        _, sizes = bounded_size_model(root.substream(0).generator(), 200_000)
         theta = solve_truncation_constant(alpha, sizes)
         pairs = ((estimate_cov_ht, limit_cov_ht), (estimate_cov_hajek, limit_cov_hajek))
         means = np.empty((len(pairs), populations, thresholds.shape[0]))
         for k in range(populations):
-            y, x = self.bounded_size_model(root.substream(1, k).generator(), n_units)
+            y, x = bounded_size_model(root.substream(1, k).generator(), n_units)
             pop = PopulationFrame(y=y, x=x)
             incl = pips_probabilities(x, round(alpha * n_units))
             params = poisson_from_cps_inclusion(incl)
-            samples = cps_sample_sequential_batch(params, root.substream(2, k), draws)
+            samples = cps_sample_rejection_batch(params, root.substream(2, k), draws)
             for i, (estimate, _) in enumerate(pairs):
                 means[i, k] = np.mean([
                     np.diag(estimate(pop, incl, SampleIndicators.from_array(s), thresholds))
@@ -187,7 +183,7 @@ class TestLimitCovariance:
             for j, t in enumerate(thresholds):
                 f = lambda y, t=t: (y <= t).astype(float)
                 limit = limit_cov(
-                    f, f, self.bounded_size_model, theta, 200_000, root.substream(3)
+                    f, f, bounded_size_model, theta, 200_000, root.substream(3)
                 )
                 spread = means[i, :, j].std(ddof=1) / np.sqrt(populations)
                 gap = means[i, :, j].mean() - limit.value

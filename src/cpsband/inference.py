@@ -7,8 +7,10 @@ step function read at its jumps (see ``processes``), so each sup is the
 largest absolute value there.  The plug-in
 covariance of either empirical process on the sampled thresholds is
 AᵀA for an n×n matrix A with one row per sampled unit, so the pipeline
-draws its Gaussian paths as ξA, in O(B'·n), with no covariance to form
-or factorize.  The simulated sup quantile gives a
+draws its Gaussian paths as ξA, with no covariance to form or
+factorize.  It draws ξ in blocks of rows that fit in cache and keeps
+only each path's sup, so the draw takes O(B'·n) time and
+O(block·n + B') memory.  The simulated sup quantile gives a
 uniform band of half-width q_hat / sqrt(N) around the estimated CDF,
 which ``cpsband band`` writes out clipped to [0, 1].
 Both process variants share one set of Gaussian draws, which keeps
@@ -42,8 +44,8 @@ __all__ = [
     "sup_quantile",
 ]
 
-# A population model draws (y, x) pairs; the bounded-size model in
-# tests/test_inference.py is one.
+# A population model draws (y, x) pairs; bounded_size_model in
+# tests/helpers.py is one.
 PopulationModel = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
 
 
@@ -206,11 +208,56 @@ def limit_cov_hajek(
     )
 
 
+# A block of ξ holds about 2^18 bytes (256 KiB) of rows, so the passes
+# over it run in cache and the draw's memory does not grow with B'.  A
+# block is a multiple of 8 rows, at least 8, and the last one takes the
+# remainder.  OpenBLAS dgemv computes ξ @ π for groups of rows and rounds
+# a row that falls in a short tail group differently (163-row blocks
+# changed 15 of 1000 rows at n = 200); with this rule every row falls in
+# the kind of group it would in one B'×n product, so with BLAS on one
+# thread the sups keep the bits of an unblocked draw.
+_BLOCK_BYTES = 2**18
+
+
+class _PathConstants(NamedTuple):
+    """The per-sample part of the Gaussian paths ξA, in y order."""
+
+    last: np.ndarray  # position of the last unit of each tie group
+    pi: np.ndarray
+    scale: np.ndarray  # √(1−π)/π
+    slope: np.ndarray  # Σ ((1−π)/π) / d_N up to each tie group's end
+    f_hat: np.ndarray  # F̂ at each tie group's end
+    norm_ht: float  # √N
+    norm_hajek: float  # √N̂
+
+
+def _path_constants(
+    y_s: np.ndarray, pi_s: np.ndarray, d_n: float, n_units: int
+) -> _PathConstants:
+    order, last = tie_groups(y_s)
+    pi = pi_s[order]
+    # d_N = 0 only when every π is 0 or 1, so then every sampled odds is 0.
+    slope = np.cumsum((1.0 - pi) / pi) / (d_n or 1.0)
+    inv_pi = 1.0 / pi
+    n_hat = float(inv_pi.sum())
+    f_hat = np.cumsum(inv_pi) / n_hat
+    return _PathConstants(
+        last=last,
+        pi=pi,
+        scale=np.sqrt(1.0 - pi) / pi,
+        slope=slope[last],
+        f_hat=f_hat[last],
+        norm_ht=math.sqrt(n_units),
+        norm_hajek=math.sqrt(n_hat),
+    )
+
+
 def _gaussian_paths(
-    xi: np.ndarray, y_s: np.ndarray, pi_s: np.ndarray, d_n: float, n_units: int
-) -> tuple[np.ndarray, np.ndarray]:
+    xi: np.ndarray, c: _PathConstants, ht: np.ndarray, hajek: np.ndarray
+) -> None:
     """Rows ξA of the HT and Hájek Gaussian paths on the distinct sampled
-    y in increasing order; ξ is overwritten.
+    y in increasing order, times √N and √N̂, written to ``ht`` and
+    ``hajek``; ξ is overwritten.
 
     Column j of ξ weights the j-th sampled unit in y order.  With
     w = (1−π)/π² and Z the Z scores of estimate_cov_ht, A = diag(√w) Z/√N
@@ -219,29 +266,21 @@ def _gaussian_paths(
     Z_{k,r} − F̂_r (1 − π_k c) with c = Σ_s ((1−π)/π) / d_N the last HT
     slope, and N̂ in place of N; its AᵀA is estimate_cov_hajek.
     I(y_k <= t_r) selects a prefix of the sorted units, so ξA is a
-    cumulative sum minus rank-one terms, read at the last unit of each
-    tie group.
+    cumulative sum read at the last unit of each tie group minus
+    rank-one terms.
     """
-    order, last = tie_groups(y_s)
-    pi = pi_s[order]
-    # d_N = 0 only when every π is 0 or 1, so then every sampled odds is 0.
-    slope = np.cumsum((1.0 - pi) / pi) / (d_n or 1.0)
-    inv_pi = 1.0 / pi
-    n_hat = float(inv_pi.sum())
-    f_hat = np.cumsum(inv_pi) / n_hat
-    xi *= np.sqrt(1.0 - pi) / pi
-    u_pi = xi @ pi
-    u_one = xi.sum(axis=1) - slope[-1] * u_pi
+    xi *= c.scale
+    u_pi = xi @ c.pi
+    u_one = xi.sum(axis=1) - c.slope[-1] * u_pi
     np.cumsum(xi, axis=1, out=xi)
-    rank_one = np.multiply.outer(u_pi, slope)
-    xi -= rank_one
-    g_ht = xi[:, last]
-    g_ht /= math.sqrt(n_units)
-    np.multiply.outer(u_one, f_hat, out=rank_one)
-    xi -= rank_one
-    g_hajek = xi[:, last]
-    g_hajek /= math.sqrt(n_hat)
-    return g_ht, g_hajek
+    # Every index is in range; mode="clip" lets take write to ``ht``
+    # without an intermediate copy.
+    np.take(xi, c.last, axis=1, out=ht, mode="clip")
+    # ``hajek`` holds each rank-one term before it takes the Hájek path.
+    np.multiply.outer(u_pi, c.slope, out=hajek)
+    ht -= hajek
+    np.multiply.outer(u_one, c.f_hat, out=hajek)
+    np.subtract(ht, hajek, out=hajek)
 
 
 def simulate_sup_norms(
@@ -257,13 +296,33 @@ def simulate_sup_norms(
     π, the size variance d_N = Σ_U π(1−π) and the population size N.
 
     Both share one B'×n standard normal draw, which depends only on the
-    stream and n.  Time and memory are O(B'·n); a census gives zero sups.
+    stream and n.  It is drawn in blocks of rows, which continue one
+    stream, so the blocks together are that one draw.  Time is O(B'·n)
+    and memory O(block·n + B'); a census gives zero sups.
     """
     if b_prime < 100:
         raise ValueError("b_prime must be at least 100")
-    xi = rng.generator().standard_normal((b_prime, y_s.shape[0]))
-    paths = _gaussian_paths(xi, y_s, pi_s, d_n, n_units)
-    return tuple(np.sort(np.abs(g, out=g).max(axis=1)) for g in paths)
+    c = _path_constants(y_s, pi_s, d_n, n_units)
+    n, groups = c.pi.shape[0], c.last.shape[0]
+    rows = max(8, _BLOCK_BYTES // (8 * n) // 8 * 8)
+    bounds = [k * rows for k in range(max(b_prime // rows, 1))] + [b_prime]
+    most = b_prime - bounds[-2]
+    xi = np.empty((most, n))
+    ht, hajek = np.empty((most, groups)), np.empty((most, groups))
+    sups = np.empty((2, b_prime))
+    gen = rng.generator()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        k = hi - lo
+        _gaussian_paths(gen.standard_normal(out=xi[:k]), c, ht[:k], hajek[:k])
+        for sup, g in zip(sups[:, lo:hi], (ht[:k], hajek[:k])):
+            np.abs(g, out=g).max(axis=1, out=sup)
+    sups.sort(axis=1)
+    # Rounded division by a positive number is monotone and commutes with
+    # |·|, so dividing the sorted maxima gives the sorted sups of the
+    # divided paths bit for bit.
+    sups[0] /= c.norm_ht
+    sups[1] /= c.norm_hajek
+    return sups[0], sups[1]
 
 
 def sup_quantile(sorted_sups: np.ndarray, gamma: float) -> QuantileEstimate:

@@ -8,6 +8,8 @@ from itertools import combinations
 
 import numpy as np
 
+from cpsband.processes import tie_groups
+
 
 def esp_exact(odds: list[Fraction | int], k: int) -> Fraction:
     """e_k by direct summation over all size-k subsets."""
@@ -45,6 +47,40 @@ def bounded_size_model(gen: np.random.Generator, m: int) -> tuple[np.ndarray, np
     factor 4 of each other."""
     x = gen.uniform(0.5, 2.0, size=m)
     return x + gen.normal(0.0, x), x
+
+
+def unblocked_sup_norms(
+    y_s: np.ndarray,
+    pi_s: np.ndarray,
+    d_n: float,
+    n_units: int,
+    b_prime: int,
+    rng,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted HT and Hájek Gaussian sup norms from one whole B'×n draw of
+    ξ, as ``inference.simulate_sup_norms`` computed them before it drew
+    in blocks of rows: ξA over the full matrix, then |·| and the row
+    maxima."""
+    xi = rng.generator().standard_normal((b_prime, y_s.shape[0]))
+    order, last = tie_groups(y_s)
+    pi = pi_s[order]
+    slope = np.cumsum((1.0 - pi) / pi) / (d_n or 1.0)
+    inv_pi = 1.0 / pi
+    n_hat = float(inv_pi.sum())
+    f_hat = np.cumsum(inv_pi) / n_hat
+    xi *= np.sqrt(1.0 - pi) / pi
+    u_pi = xi @ pi
+    u_one = xi.sum(axis=1) - slope[-1] * u_pi
+    np.cumsum(xi, axis=1, out=xi)
+    rank_one = np.multiply.outer(u_pi, slope)
+    xi -= rank_one
+    g_ht = xi[:, last]
+    g_ht /= math.sqrt(n_units)
+    np.multiply.outer(u_one, f_hat, out=rank_one)
+    xi -= rank_one
+    g_hajek = xi[:, last]
+    g_hajek /= math.sqrt(n_hat)
+    return tuple(np.sort(np.abs(g, out=g).max(axis=1)) for g in (g_ht, g_hajek))
 
 
 def binomial_central_interval(

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cpsband
 from cpsband import (
     BandStatistics,
     CanonicalPoissonParams,
@@ -35,7 +40,12 @@ from cpsband import (
     solve_truncation_constant,
     sup_quantile,
 )
-from cpsband.inference import _gaussian_paths, _sampled_indicators, _z_scores
+from cpsband.inference import (
+    _gaussian_paths,
+    _path_constants,
+    _sampled_indicators,
+    _z_scores,
+)
 
 from conftest import design_with_population
 from helpers import bounded_size_model
@@ -234,6 +244,16 @@ class TestSupQuantile:
             sup_quantile(sups, 1.0)
 
 
+def unit_paths(y_s, pi_s, d_n, n_units):
+    """The HT and Hájek Gaussian paths at ξ = I, that is A itself, from
+    the block kernel of simulate_sup_norms run on one n-row block."""
+    c = _path_constants(y_s, pi_s, d_n, n_units)
+    shape = (y_s.shape[0], c.last.shape[0])
+    ht, hajek = np.empty(shape), np.empty(shape)
+    _gaussian_paths(np.eye(y_s.shape[0]), c, ht, hajek)
+    return ht / c.norm_ht, hajek / c.norm_hajek
+
+
 def sampled_design(pop, params, incl, seed):
     """One drawn sample, its sampled y and π, and the size variance d_N."""
     s = cps_sample_sequential(params, RngStream(seed))
@@ -256,7 +276,7 @@ class TestHajekCentering:
         scale = float(((1.0 - pi_s) / pi_s**2).sum())
         variance = estimate_cov_hajek(pop, incl, s, np.sort(y_s))[-1, -1]
         assert abs(variance) <= 1e-12 * scale
-        _, path = _gaussian_paths(np.eye(y_s.shape[0]), y_s, pi_s, d_n, pop.size)
+        _, path = unit_paths(y_s, pi_s, d_n, pop.size)
         assert np.abs(path[:, -1]).max() <= 1e-12 * np.sqrt(scale)
 
 
@@ -286,9 +306,7 @@ class TestFactorFreeDraws:
             y[sampled[1::2]] = y[sampled[:-1:2]]
             pop = PopulationFrame(y=y, x=pop.x)
             y_s = y[sampled]
-        a_ht, a_hajek = _gaussian_paths(
-            np.eye(y_s.shape[0]), y_s, pi_s, d_n, pop.size
-        )
+        a_ht, a_hajek = unit_paths(y_s, pi_s, d_n, pop.size)
         thresholds = np.unique(y_s)
         # Relative to the size of the terms before they cancel: Σ_k w_k Z²
         # with every difference in Z replaced by a sum, so HT's
@@ -334,8 +352,8 @@ class TestFactorFreeDraws:
         assert not np.array_equal(first[0], first[1])
 
     def test_no_quadratic_memory(self):
-        # An n×n float64 array at n = 4000 takes 128 MB; the B'×n draws
-        # take 3.2 MB.
+        # An n×n float64 array at n = 4000 takes 128 MB; the draw holds
+        # ξ and two path arrays of 12 rows each, about 1.2 MB.
         n, n_units = 4000, 100_000
         y = RngStream(45).generator().normal(size=n)
         pi = np.full(n, n / n_units)
@@ -347,6 +365,59 @@ class TestFactorFreeDraws:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("b_prime", [1000, 4000])
+    def test_memory_does_not_grow_with_draws(self, b_prime):
+        # One B'×n array at n = 2000 takes 16 MB at B' = 1000 and 64 MB
+        # at B' = 4000; the blocked draw holds ξ and two path arrays of at
+        # most 31 rows each (about 1.5 MB) and two B'-vectors of sups.
+        n, n_units = 2000, 20_000
+        y = RngStream(46).generator().normal(size=n)
+        pi = np.full(n, n / n_units)
+        d_n = n_units * (n / n_units) * (1.0 - n / n_units)
+        tracemalloc.start()
+        try:
+            simulate_sup_norms(y, pi, d_n, n_units, b_prime, RngStream(4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+# Runs in a child process with BLAS on one thread: OpenBLAS splits ξ @ π
+# between its threads by row count, so with more than one thread a
+# B'×n product and its row blocks can round a row differently.
+BLOCKED_EQUALS_UNBLOCKED = """
+import numpy as np
+from cpsband import RngStream, simulate_sup_norms
+from helpers import unblocked_sup_norms
+
+for n in (1, 2, 17, 200, 333, 2000, 4097):
+    for b_prime in (100, 101, 1000, 1001, 1537):
+        gen = np.random.default_rng([n, b_prime])
+        # One decimal gives tie groups at every n above ~30.
+        y = np.round(gen.normal(size=n), 1)
+        pi = gen.uniform(0.05, 0.9, size=n)
+        d_n = 3.0 * float((pi * (1.0 - pi)).sum())
+        args = (y, pi, d_n, 5 * n, b_prime, RngStream(n).substream(b_prime))
+        pairs = zip(simulate_sup_norms(*args), unblocked_sup_norms(*args))
+        if not all(np.array_equal(blocked, whole) for blocked, whole in pairs):
+            print(f"n={n} b_prime={b_prime}")
+"""
+
+
+def test_blocked_draw_equals_one_whole_draw_bit_for_bit():
+    paths = [str(Path(cpsband.__file__).resolve().parent.parent),
+             str(Path(__file__).resolve().parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    done = subprocess.run(
+        [sys.executable, "-c", BLOCKED_EQUALS_UNBLOCKED],
+        capture_output=True, text=True, timeout=300, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "", "blocked sups differ at:\n" + done.stdout
 
 
 def test_band_construction_and_closed_coverage():

@@ -6,7 +6,6 @@ from .calibration import (
     CanonicalPoissonParams,
     InclusionProbabilities,
     PopulationFrame,
-    canonicalize_poisson,
     cps_inclusion_from_poisson,
     pips_probabilities,
     poisson_from_cps_inclusion,
@@ -17,8 +16,6 @@ from .inference import (
     LimitCovariance,
     QuantileEstimate,
     band_pipeline,
-    estimate_cov_hajek,
-    estimate_cov_ht,
     limit_cov_hajek,
     limit_cov_ht,
     simulate_sup_norms,
@@ -69,15 +66,12 @@ __all__ = [
     "SamplingError",
     "SimConfig",
     "band_pipeline",
-    "canonicalize_poisson",
     "cps_inclusion_from_poisson",
     "cps_sample_rejection_batch",
     "cps_sample_sequential",
     "empirical_cps_distribution",
     "enumerate_cps_distribution",
     "enumerate_poisson_distribution",
-    "estimate_cov_hajek",
-    "estimate_cov_ht",
     "exact_design_moments",
     "exact_inclusion_orders",
     "format_report",

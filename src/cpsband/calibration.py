@@ -14,8 +14,10 @@ A parameter vector fixes its fixed-size law together with n: units
 with p = 1 are always sampled, and the free units (p < 1) share the
 n - #certain open slots through one design kernel over their odds
 p / (1 - p).  ``CanonicalPoissonParams`` carries that reduction once
-(``free``, ``slots``, ``kernel``): the forward map reads the kernel, and
-the sampler reads the certain units and the open slots.
+(``free``, ``slots``, ``kernel``).  One function, ``_forward_map``,
+takes the free units' parameters and the open slots to their inclusion
+probabilities, for the forward map and for every trial point of its
+inverse; the sampler reads the certain units and the open slots.
 
 Plus the weight-truncation constant θ of the large-sample covariance
 formulas, which inference.limit_cov_ht and limit_cov_hajek take.  It
@@ -37,7 +39,6 @@ __all__ = [
     "InclusionProbabilities",
     "CanonicalPoissonParams",
     "CalibrationError",
-    "canonicalize_poisson",
     "pips_probabilities",
     "cps_inclusion_from_poisson",
     "poisson_from_cps_inclusion",
@@ -193,11 +194,19 @@ def pips_probabilities(x: np.ndarray, n: int) -> InclusionProbabilities:
     return InclusionProbabilities(pi=pi, n=n)
 
 
+def _forward_map(p_free: np.ndarray, m: int) -> np.ndarray:
+    """Inclusion probabilities of free units with parameters 0 < p < 1
+    that share m slots: the first order of the design kernel of their
+    odds p / (1 - p).  The kernel raises ArithmeticError when its ratios
+    leave double precision."""
+    return design_kernel(p_free / (1.0 - p_free), m).first_order()
+
+
 def cps_inclusion_from_poisson(params: CanonicalPoissonParams) -> InclusionProbabilities:
     """Exact first-order inclusion probabilities of the fixed-size design
     induced by conditioning the independent design on sample size n."""
     pi = np.ones(params.size)
-    pi[params.free] = params.kernel().first_order()
+    pi[params.free] = _forward_map(params.p[params.free], params.slots)
     return InclusionProbabilities(pi=pi, n=params.n)
 
 
@@ -282,7 +291,7 @@ def _forward_at_trial(logit_p: np.ndarray, m: int) -> np.ndarray | None:
     if not np.all((p > 0.0) & (p < 1.0)):
         return None
     try:
-        return design_kernel(p / (1.0 - p), m).first_order()
+        return _forward_map(p, m)
     except ArithmeticError:
         return None
 
@@ -332,8 +341,7 @@ def poisson_from_cps_inclusion(incl: InclusionProbabilities) -> CanonicalPoisson
         return CanonicalPoissonParams(p=p, n=n)
 
     logit_p = _logit(pi_free)
-    p_start = _expit(logit_p)
-    achieved = design_kernel(p_start / (1.0 - p_start), m).first_order()
+    achieved = _forward_map(_expit(logit_p), m)
     evaluations = 1
     step = 1.0
     while True:
@@ -366,35 +374,6 @@ def poisson_from_cps_inclusion(incl: InclusionProbabilities) -> CanonicalPoisson
         step = min(1.0, 2.0 * step)
     p[free] = _expit(_renormalize_logodds(logit_p, m))
     return CanonicalPoissonParams(p=p, n=n)
-
-
-def canonicalize_poisson(p, n: int) -> CanonicalPoissonParams:
-    """The odds-equivalent representative whose parameters sum to n.
-
-    Conditioning two independent designs on the same size yields the
-    same fixed-size law whenever their odds are proportional, so any
-    parameter vector can be traded for the one representative with
-    sum p = n by a common log-odds shift.
-    """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise CalibrationError("p must be a 1-d array")
-    if np.any(p <= 0) or np.any(p > 1):
-        raise CalibrationError("p must lie in (0, 1]")
-    out = np.ones(p.shape[0])
-    free = p < 1.0
-    count = int(free.sum())
-    m = n - (p.shape[0] - count)
-    if m < 0:
-        raise CalibrationError("more deterministic units than sample slots")
-    if count and m == 0:
-        raise CalibrationError(
-            "size-n law excludes every non-deterministic unit; "
-            "no positive-parameter representative exists"
-        )
-    if 0 < m < count:
-        out[free] = _expit(_renormalize_logodds(_logit(p[free]), m))
-    return CanonicalPoissonParams(p=out, n=n)
 
 
 def solve_truncation_constant(alpha: float, w_samples: np.ndarray) -> float:

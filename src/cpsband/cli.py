@@ -175,9 +175,12 @@ def _resolve_threads(flag: int | None, fallback: int) -> int:
     if flag is not None:
         return flag
     env = os.environ.get(THREADS_ENV_VAR)
-    if env:
+    if not env:
+        return fallback
+    try:
         return int(env)
-    return fallback
+    except ValueError:
+        raise ValueError(f"{THREADS_ENV_VAR}={env!r} is not an integer") from None
 
 
 def _log_resolution(args: argparse.Namespace, **extra: object) -> None:
@@ -265,9 +268,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raw = json.load(handle)
     if args.seed is not None:
         raw["master_seed"] = args.seed
-    raw["threads"] = _resolve_threads(args.threads, int(raw.get("threads", 1)))
-    if "levels" in raw:
-        raw["levels"] = tuple(raw["levels"])
+    raw["threads"] = _resolve_threads(args.threads, raw.get("threads", 1))
     config = SimConfig(**raw)
     _log_resolution(
         args,

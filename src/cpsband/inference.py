@@ -1,4 +1,4 @@
-"""Covariance estimation, sup-norm quantiles, and confidence bands.
+"""Limit covariances, sup-norm quantiles, and confidence bands.
 
 ``band_pipeline`` is the one band chain that the coverage experiment
 and the ``band`` command share: sup statistics of both processes, one
@@ -15,8 +15,9 @@ uniform band of half-width q_hat / sqrt(N) around the estimated CDF,
 which ``cpsband band`` writes out clipped to [0, 1].
 Both process variants share one set of Gaussian draws, which keeps
 their quantiles comparable replication by replication.  The n×n
-estimates are the reference that AᵀA is tested against, and the
-analytic limit covariance of the functional CLT is what they converge to.
+plug-in estimates that AᵀA is tested against live in tests/helpers.py;
+the analytic limit covariance of the functional CLT is what they
+converge to.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ __all__ = [
     "LimitCovariance",
     "QuantileEstimate",
     "band_pipeline",
-    "estimate_cov_hajek",
-    "estimate_cov_ht",
     "limit_cov_hajek",
     "limit_cov_ht",
     "simulate_sup_norms",
@@ -64,70 +63,6 @@ class QuantileEstimate:
             raise ValueError("quantile must be nonnegative")
         if self.mc_draws < 1:
             raise ValueError("mc_draws must be positive")
-
-
-def _sampled_indicators(
-    pop: PopulationFrame,
-    pi: InclusionProbabilities,
-    s: SampleIndicators,
-    thresholds: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """I(Y_k <= t_r) of the sampled units k, their π, and d_N = Σ_U π(1−π)."""
-    thr = np.asarray(thresholds, dtype=float)
-    if thr.ndim != 1 or thr.shape[0] < 1:
-        raise ValueError("thresholds must be a nonempty 1-d array")
-    d_n = float((pi.pi * (1.0 - pi.pi)).sum())
-    if d_n == 0.0:
-        raise ValueError("design has zero size variance; no covariance to estimate")
-    sampled = np.flatnonzero(s.s == 1)
-    ind = (pop.y[sampled, None] <= thr[None, :]).astype(float)
-    return ind, pi.pi[sampled], d_n
-
-
-def _z_scores(values: np.ndarray, pi_s: np.ndarray, d_n: float) -> np.ndarray:
-    """Z = v − π·slope, slope = Σ_s ((1−π)/π) v / d_N: the sampled values v
-    with their projection on the sample-size overshoot removed."""
-    slope = ((1.0 - pi_s) / pi_s) @ values / d_n
-    return values - pi_s[:, None] * slope[None, :]
-
-
-def _plug_in(z: np.ndarray, pi_s: np.ndarray, norm: float) -> np.ndarray:
-    """norm^{-1} Σ_k ((1−π_k)/π_k²) Z_{k,r} Z_{k,c}, symmetrized."""
-    weight = (1.0 - pi_s) / pi_s**2
-    matrix = (z * weight[:, None]).T @ z / norm
-    return (matrix + matrix.T) / 2.0
-
-
-def estimate_cov_ht(
-    pop: PopulationFrame,
-    pi: InclusionProbabilities,
-    s: SampleIndicators,
-    sampled_thresholds: np.ndarray,
-) -> np.ndarray:
-    """Plug-in covariance of the Horvitz-Thompson process on the sampled
-    thresholds: N^{-1} Σ_k s_k ((1−π_k)/π_k²) Z_{k,r} Z_{k,c}."""
-    ind, pi_s, d_n = _sampled_indicators(pop, pi, s, sampled_thresholds)
-    return _plug_in(_z_scores(ind, pi_s, d_n), pi_s, pop.size)
-
-
-def estimate_cov_hajek(
-    pop: PopulationFrame,
-    pi: InclusionProbabilities,
-    s: SampleIndicators,
-    sampled_thresholds: np.ndarray,
-) -> np.ndarray:
-    """As estimate_cov_ht, normalized by N̂ = Σ s_k/π_k, with the indicators
-    centered at the Hájek CDF F̂_r = Σ_s (1/π) I(y <= t_r) / N̂ before the
-    projection: the fixed-size variance ignores multiples of π but not
-    constants, and the projection of 1, 1 − π_k c with
-    c = Σ_s ((1−π)/π) / d_N, vanishes only under equal π."""
-    ind, pi_s, d_n = _sampled_indicators(pop, pi, s, sampled_thresholds)
-    inv_pi = 1.0 / pi_s
-    n_hat = float(inv_pi.sum())
-    if n_hat == 0.0:
-        raise ValueError("estimated population size is zero (empty sample)")
-    z = _z_scores(ind - inv_pi @ ind / n_hat, pi_s, d_n)
-    return _plug_in(z, pi_s, n_hat)
 
 
 class LimitCovariance(NamedTuple):
@@ -260,11 +195,12 @@ def _gaussian_paths(
     ``hajek``; ξ is overwritten.
 
     Column j of ξ weights the j-th sampled unit in y order.  With
-    w = (1−π)/π² and Z the Z scores of estimate_cov_ht, A = diag(√w) Z/√N
-    has AᵀA = estimate_cov_ht.  The Hájek A takes the Z scores of the
+    w = (1−π)/π² and Z the Z scores of the n×n HT plug-in estimate
+    (estimate_cov_ht in tests/helpers.py), A = diag(√w) Z/√N has AᵀA
+    equal to that estimate.  The Hájek A takes the Z scores of the
     indicators centered at F̂_r = Σ_s (1/π) I(y <= t_r) / N̂, that is
     Z_{k,r} − F̂_r (1 − π_k c) with c = Σ_s ((1−π)/π) / d_N the last HT
-    slope, and N̂ in place of N; its AᵀA is estimate_cov_hajek.
+    slope, and N̂ in place of N; its AᵀA is estimate_cov_hajek there.
     I(y_k <= t_r) selects a prefix of the sorted units, so ξA is a
     cumulative sum read at the last unit of each tie group minus
     rank-one terms.
@@ -302,6 +238,8 @@ def simulate_sup_norms(
     """
     if b_prime < 100:
         raise ValueError("b_prime must be at least 100")
+    if y_s.shape[0] == 0:
+        raise ValueError("the sample is empty; there are no paths to draw")
     c = _path_constants(y_s, pi_s, d_n, n_units)
     n, groups = c.pi.shape[0], c.last.shape[0]
     rows = max(8, _BLOCK_BYTES // (8 * n) // 8 * 8)

@@ -70,13 +70,6 @@ class DesignDistribution:
     def n_units(self) -> int:
         return self.indicators.shape[1]
 
-    @property
-    def samples(self) -> list[tuple[np.ndarray, float]]:
-        return [
-            (self.indicators[i], float(self.probability[i]))
-            for i in range(self.indicators.shape[0])
-        ]
-
 
 def _size_n_universe(n_units: int, n: int) -> np.ndarray:
     """All size-n indicator rows over n_units units, lexicographic."""

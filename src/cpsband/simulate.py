@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import io
 import time
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from typing import Literal
 
 import numpy as np
@@ -65,14 +67,25 @@ class SimConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("population_size", "replications", "quantile_draws",
+                     "master_seed", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        levels = self.levels
+        if isinstance(levels, str) or not isinstance(levels, Sequence):
+            raise ValueError(f"levels must be a sequence of numbers, got {levels!r}")
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
-        if not 0.0 < self.sampling_fraction <= 1.0:
+        fraction = self.sampling_fraction
+        if isinstance(fraction, bool) or not isinstance(fraction, Real):
+            raise ValueError(f"sampling_fraction must be a number, got {fraction!r}")
+        if not 0.0 < fraction <= 1.0:
             raise ValueError("sampling_fraction must lie in (0, 1]")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if not all(0.0 < g < 1.0 for g in self.levels):
-            raise ValueError("levels must lie in (0, 1)")
+        if not all(isinstance(g, Real) and 0.0 < g < 1.0 for g in self.levels):
+            raise ValueError(f"levels must lie in (0, 1), got {self.levels!r}")
         if self.quantile_draws < 100:
             raise ValueError("quantile_draws must be at least 100")
         if self.sampler != "sequential":

@@ -8,9 +8,10 @@ from hypothesis import HealthCheck, settings, strategies as st
 from cpsband import (
     CanonicalPoissonParams,
     PopulationFrame,
-    canonicalize_poisson,
     cps_inclusion_from_poisson,
 )
+
+from helpers import canonicalize_poisson
 
 settings.register_profile(
     "suite",

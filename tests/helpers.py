@@ -1,4 +1,7 @@
-"""Brute-force reference implementations the tests trust over the package."""
+"""Reference implementations the tests trust over the package: brute-force
+sums and exact solves, the n×n plug-in covariances that the Gaussian
+draws must reproduce, and the canonical representative of a parameter
+vector that the design strategies build on."""
 
 from __future__ import annotations
 
@@ -8,6 +11,14 @@ from itertools import combinations
 
 import numpy as np
 
+from cpsband import (
+    CalibrationError,
+    CanonicalPoissonParams,
+    InclusionProbabilities,
+    PopulationFrame,
+    SampleIndicators,
+)
+from cpsband.calibration import _expit, _logit, _renormalize_logodds
 from cpsband.processes import tie_groups
 
 
@@ -47,6 +58,99 @@ def bounded_size_model(gen: np.random.Generator, m: int) -> tuple[np.ndarray, np
     factor 4 of each other."""
     x = gen.uniform(0.5, 2.0, size=m)
     return x + gen.normal(0.0, x), x
+
+
+def canonicalize_poisson(p, n: int) -> CanonicalPoissonParams:
+    """The odds-equivalent representative whose parameters sum to n.
+
+    Conditioning two independent designs on the same size yields the
+    same fixed-size law whenever their odds are proportional, so any
+    parameter vector can be traded for the one representative with
+    sum p = n by a common log-odds shift.
+    """
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 1:
+        raise CalibrationError("p must be a 1-d array")
+    if np.any(p <= 0) or np.any(p > 1):
+        raise CalibrationError("p must lie in (0, 1]")
+    out = np.ones(p.shape[0])
+    free = p < 1.0
+    count = int(free.sum())
+    m = n - (p.shape[0] - count)
+    if m < 0:
+        raise CalibrationError("more deterministic units than sample slots")
+    if count and m == 0:
+        raise CalibrationError(
+            "size-n law excludes every non-deterministic unit; "
+            "no positive-parameter representative exists"
+        )
+    if 0 < m < count:
+        out[free] = _expit(_renormalize_logodds(_logit(p[free]), m))
+    return CanonicalPoissonParams(p=out, n=n)
+
+
+def _sampled_indicators(
+    pop: PopulationFrame,
+    pi: InclusionProbabilities,
+    s: SampleIndicators,
+    thresholds: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """I(Y_k <= t_r) of the sampled units k, their π, and d_N = Σ_U π(1−π)."""
+    thr = np.asarray(thresholds, dtype=float)
+    if thr.ndim != 1 or thr.shape[0] < 1:
+        raise ValueError("thresholds must be a nonempty 1-d array")
+    d_n = float((pi.pi * (1.0 - pi.pi)).sum())
+    if d_n == 0.0:
+        raise ValueError("design has zero size variance; no covariance to estimate")
+    sampled = np.flatnonzero(s.s == 1)
+    ind = (pop.y[sampled, None] <= thr[None, :]).astype(float)
+    return ind, pi.pi[sampled], d_n
+
+
+def _z_scores(values: np.ndarray, pi_s: np.ndarray, d_n: float) -> np.ndarray:
+    """Z = v − π·slope, slope = Σ_s ((1−π)/π) v / d_N: the sampled values v
+    with their projection on the sample-size overshoot removed."""
+    slope = ((1.0 - pi_s) / pi_s) @ values / d_n
+    return values - pi_s[:, None] * slope[None, :]
+
+
+def _plug_in(z: np.ndarray, pi_s: np.ndarray, norm: float) -> np.ndarray:
+    """norm^{-1} Σ_k ((1−π_k)/π_k²) Z_{k,r} Z_{k,c}, symmetrized."""
+    weight = (1.0 - pi_s) / pi_s**2
+    matrix = (z * weight[:, None]).T @ z / norm
+    return (matrix + matrix.T) / 2.0
+
+
+def estimate_cov_ht(
+    pop: PopulationFrame,
+    pi: InclusionProbabilities,
+    s: SampleIndicators,
+    sampled_thresholds: np.ndarray,
+) -> np.ndarray:
+    """Plug-in covariance of the Horvitz-Thompson process on the sampled
+    thresholds: N^{-1} Σ_k s_k ((1−π_k)/π_k²) Z_{k,r} Z_{k,c}."""
+    ind, pi_s, d_n = _sampled_indicators(pop, pi, s, sampled_thresholds)
+    return _plug_in(_z_scores(ind, pi_s, d_n), pi_s, pop.size)
+
+
+def estimate_cov_hajek(
+    pop: PopulationFrame,
+    pi: InclusionProbabilities,
+    s: SampleIndicators,
+    sampled_thresholds: np.ndarray,
+) -> np.ndarray:
+    """As estimate_cov_ht, normalized by N̂ = Σ s_k/π_k, with the indicators
+    centered at the Hájek CDF F̂_r = Σ_s (1/π) I(y <= t_r) / N̂ before the
+    projection: the fixed-size variance ignores multiples of π but not
+    constants, and the projection of 1, 1 − π_k c with
+    c = Σ_s ((1−π)/π) / d_N, vanishes only under equal π."""
+    ind, pi_s, d_n = _sampled_indicators(pop, pi, s, sampled_thresholds)
+    inv_pi = 1.0 / pi_s
+    n_hat = float(inv_pi.sum())
+    if n_hat == 0.0:
+        raise ValueError("estimated population size is zero (empty sample)")
+    z = _z_scores(ind - inv_pi @ ind / n_hat, pi_s, d_n)
+    return _plug_in(z, pi_s, n_hat)
 
 
 def unblocked_sup_norms(

@@ -18,7 +18,6 @@ from cpsband import (
     PopulationFrame,
     RngStream,
     SimConfig,
-    canonicalize_poisson,
     cps_inclusion_from_poisson,
     cps_sample_rejection_batch,
     empirical_cps_distribution,
@@ -34,7 +33,7 @@ from cpsband import (
     total_variation,
 )
 
-from helpers import bounded_size_model
+from helpers import bounded_size_model, canonicalize_poisson
 
 LEVELS = (0.90, 0.95, 0.99)
 HT_COVERAGE_REF = (0.866, 0.913, 0.990)

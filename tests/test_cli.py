@@ -134,6 +134,36 @@ def test_simulate_threads_env_var(tmp_path, capsys, monkeypatch):
     assert "threads=2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "override, env, named",
+    [
+        ({}, "two", f"{THREADS_ENV_VAR}='two'"),
+        ({"levels": 0.9}, None, "levels must be a sequence"),
+        ({"quantile_draws": "100"}, None, "quantile_draws must be an integer"),
+        ({"threads": 1.0}, None, "threads must be an integer"),
+    ],
+    ids=["threads-env", "levels", "quantile-draws", "threads-config"],
+)
+def test_simulate_names_a_bad_input(tmp_path, capsys, monkeypatch, override, env, named):
+    config = {
+        "population_size": 40,
+        "sampling_fraction": 0.2,
+        "replications": 2,
+        "quantile_draws": 200,
+        **override,
+    }
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    if env is None:
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    else:
+        monkeypatch.setenv(THREADS_ENV_VAR, env)
+    assert main([
+        "simulate", "--config", str(config_path), "--out", str(tmp_path / "report"),
+    ]) == 1
+    assert named in capsys.readouterr().err
+
+
 def test_oracle_check_passes_and_is_deterministic(capsys):
     assert main(["oracle-check", "--seed", "7", "--instances", "3"]) == 0
     first = capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Covariance estimation, Gaussian quantiles, and band assembly."""
+"""Covariance references, Gaussian quantiles, and band assembly."""
 
 from __future__ import annotations
 
@@ -25,8 +25,6 @@ from cpsband import (
     cps_sample_rejection_batch,
     cps_sample_sequential,
     enumerate_cps_distribution,
-    estimate_cov_hajek,
-    estimate_cov_ht,
     exact_design_moments,
     exact_inclusion_orders,
     generate_population,
@@ -40,15 +38,16 @@ from cpsband import (
     solve_truncation_constant,
     sup_quantile,
 )
-from cpsband.inference import (
-    _gaussian_paths,
-    _path_constants,
-    _sampled_indicators,
-    _z_scores,
-)
+from cpsband.inference import _gaussian_paths, _path_constants
 
 from conftest import design_with_population
-from helpers import bounded_size_model
+from helpers import (
+    _sampled_indicators,
+    _z_scores,
+    bounded_size_model,
+    estimate_cov_hajek,
+    estimate_cov_ht,
+)
 
 # Enumerated pins for p = (0.25, 0.35, 0.45, 0.55, 0.65, 0.75), n = 3,
 # y = (0.8, 0.1, 1.4, 0.5, 2.0, 1.1), threshold 0.8: the exact design
@@ -230,6 +229,10 @@ class TestSupQuantile:
                 np.arange(2.0), np.full(2, 0.5), 1.0, 4, 50, RngStream(0)
             )
 
+    def test_rejects_an_empty_sample(self):
+        with pytest.raises(ValueError, match="sample is empty"):
+            simulate_sup_norms(np.empty(0), np.empty(0), 1.0, 10, 100, RngStream(0))
+
     def test_order_statistic_rule(self):
         # Index ceil(gamma·B') − 1 of the sorted sups.
         sups = np.arange(1.0, 101.0)
@@ -406,18 +409,58 @@ for n in (1, 2, 17, 200, 333, 2000, 4097):
 """
 
 
-def test_blocked_draw_equals_one_whole_draw_bit_for_bit():
+def run_with_blas_threads(script: str, threads: int) -> str:
+    """Stdout of ``script`` run in a child process with BLAS on
+    ``threads`` threads; the child fails the test if it fails."""
     paths = [str(Path(cpsband.__file__).resolve().parent.parent),
              str(Path(__file__).resolve().parent)]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
+        env[var] = str(threads)
     done = subprocess.run(
-        [sys.executable, "-c", BLOCKED_EQUALS_UNBLOCKED],
+        [sys.executable, "-c", script],
         capture_output=True, text=True, timeout=300, env=env,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "", "blocked sups differ at:\n" + done.stdout
+    return done.stdout
+
+
+def test_blocked_draw_equals_one_whole_draw_bit_for_bit():
+    out = run_with_blas_threads(BLOCKED_EQUALS_UNBLOCKED, 1)
+    assert out == "", "blocked sups differ at:\n" + out
+
+
+# One digest per line: the sups of several (n, B') cases, with y on a
+# coarse grid so that tie groups occur, and one small report per design.
+DIGESTS = """
+import hashlib
+import numpy as np
+from cpsband import (
+    RngStream, SimConfig, format_report, run_experiment, simulate_sup_norms,
+)
+
+for n, b_prime in ((17, 101), (200, 1000), (333, 1001), (1000, 1001), (2000, 1000)):
+    gen = np.random.default_rng([n, b_prime])
+    y = np.round(gen.normal(size=n), 1)
+    pi = gen.uniform(0.05, 0.9, size=n)
+    d_n = 3.0 * float((pi * (1.0 - pi)).sum())
+    sups = simulate_sup_norms(y, pi, d_n, 5 * n, b_prime, RngStream(n))
+    print(f"sups n={n} b_prime={b_prime}", hashlib.sha256(np.concatenate(sups)).hexdigest())
+for design, n_units in (("equal", 2000), ("proportional", 500)):
+    config = SimConfig(
+        population_size=n_units, sampling_fraction=0.1, replications=5,
+        master_seed=3, design=design,
+    )
+    text, csv_text = format_report(run_experiment(config))
+    print(f"report {design}", hashlib.sha256((text + csv_text).encode()).hexdigest())
+"""
+
+
+def test_reports_are_byte_identical_across_blas_threads():
+    # u_π = ξ @ π goes through BLAS, which splits its rows between threads.
+    one = run_with_blas_threads(DIGESTS, 1)
+    assert len(one.splitlines()) == 7
+    assert run_with_blas_threads(DIGESTS, 4) == one
 
 
 def test_band_construction_and_closed_coverage():

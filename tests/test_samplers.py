@@ -15,7 +15,6 @@ from cpsband import (
     SamplingError,
     SimConfig,
     calibration,
-    canonicalize_poisson,
     cps_sample_rejection_batch,
     cps_sample_sequential,
     empirical_cps_distribution,
@@ -30,6 +29,7 @@ from cpsband import (
 )
 
 from conftest import design_params
+from helpers import canonicalize_poisson
 
 FIXED = CanonicalPoissonParams(
     p=np.array([0.15, 0.35, 0.55, 0.95]), n=2

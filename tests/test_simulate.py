@@ -178,6 +178,16 @@ def test_config_validation():
             population_size=10, sampling_fraction=0.5, replications=1,
             quantile_draws=50,
         )
+    fields = {"population_size": 10, "sampling_fraction": 0.5, "replications": 1}
+    for name in ("population_size", "replications", "quantile_draws",
+                 "master_seed", "threads"):
+        for value in ("100", 100.0, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                SimConfig(**{**fields, name: value})
+    with pytest.raises(ValueError, match="sampling_fraction must be a number"):
+        SimConfig(**{**fields, "sampling_fraction": "0.5"})
+    with pytest.raises(ValueError, match="levels must be a sequence"):
+        SimConfig(**fields, levels=0.9)
 
 
 def test_coverage_is_a_binomial_proportion():

@@ -12,12 +12,13 @@ Covers three distinct conversions:
 
 A parameter vector fixes its fixed-size law together with n: units
 with p = 1 are always sampled, and the free units (p < 1) share the
-n - #certain open slots through one design kernel over their odds
-p / (1 - p).  ``CanonicalPoissonParams`` carries that reduction once
-(``free``, ``slots``, ``kernel``).  One function, ``_forward_map``,
-takes the free units' parameters and the open slots to their inclusion
-probabilities, for the forward map and for every trial point of its
-inverse; the sampler reads the certain units and the open slots.
+n - #certain open slots as a conditional Poisson design over their
+odds p / (1 - p).  ``CanonicalPoissonParams`` carries that reduction
+once (``free``, ``slots``).  One function, ``_forward_map``, takes the
+free units' parameters and the open slots to their inclusion
+probabilities through ``esp.first_order``, for the forward map and for
+every trial point of its inverse; the sampler reads the certain units
+and the open slots.
 
 Plus the weight-truncation constant θ of the large-sample covariance
 formulas, which inference.limit_cov_ht and limit_cov_hajek take.  It
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .esp import DesignKernel, design_kernel
+from .esp import first_order
 
 __all__ = [
     "PopulationFrame",
@@ -115,7 +116,7 @@ class CanonicalPoissonParams:
     """Bernoulli parameters of the canonical independent design, sum p = n.
 
     Units with p_i = 1 are deterministic inclusions; the ``free`` units
-    share the ``slots`` left open through their design ``kernel``.
+    share the ``slots`` left open.
     """
 
     p: np.ndarray
@@ -145,15 +146,6 @@ class CanonicalPoissonParams:
     def slots(self) -> int:
         """Sample slots open to the free units: n minus the certain units."""
         return self.n - int((self.p == 1.0).sum())
-
-    def kernel(self) -> DesignKernel:
-        """The design kernel of the free units' odds for the open slots.
-
-        Built afresh on every call and not kept, so the O(N n) table
-        lives only as long as its caller holds it.
-        """
-        p_free = self.p[self.free]
-        return design_kernel(p_free / (1.0 - p_free), self.slots)
 
 
 def _clipped_scale(x: np.ndarray, total: float) -> tuple[float, np.ndarray]:
@@ -196,10 +188,10 @@ def pips_probabilities(x: np.ndarray, n: int) -> InclusionProbabilities:
 
 def _forward_map(p_free: np.ndarray, m: int) -> np.ndarray:
     """Inclusion probabilities of free units with parameters 0 < p < 1
-    that share m slots: the first order of the design kernel of their
-    odds p / (1 - p).  The kernel raises ArithmeticError when its ratios
-    leave double precision."""
-    return design_kernel(p_free / (1.0 - p_free), m).first_order()
+    that share m slots: the first order of the conditional Poisson
+    design on their odds p / (1 - p).  It raises ArithmeticError when
+    the symmetric-function ratios leave double precision."""
+    return first_order(p_free / (1.0 - p_free), m)
 
 
 def cps_inclusion_from_poisson(params: CanonicalPoissonParams) -> InclusionProbabilities:
@@ -285,8 +277,8 @@ _MIN_STEP = 1e-8
 def _forward_at_trial(logit_p: np.ndarray, m: int) -> np.ndarray | None:
     """The exact forward map at a trial point, or None where it cannot be
     taken: parameters that round to 0 or 1 have no finite positive odds,
-    and a long step can spread the odds so far that the design kernel's
-    ratios leave double precision (it raises ArithmeticError)."""
+    and a long step can spread the odds so far that the symmetric-function
+    ratios leave double precision (``first_order`` raises ArithmeticError)."""
     p = _expit(logit_p)
     if not np.all((p > 0.0) & (p < 1.0)):
         return None

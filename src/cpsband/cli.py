@@ -266,6 +266,8 @@ def _cmd_band(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     with open(args.config, encoding="utf-8") as handle:
         raw = json.load(handle)
+    if not isinstance(raw, dict):
+        raise ValueError(f"{args.config}: expected a JSON object")
     if args.seed is not None:
         raw["master_seed"] = args.seed
     raw["threads"] = _resolve_threads(args.threads, raw.get("threads", 1))

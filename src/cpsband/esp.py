@@ -1,12 +1,13 @@
-"""The conditional-Poisson design kernel: ratios of elementary symmetric
-polynomials, kept in the probability domain.
+"""First-order inclusion probabilities of a conditional Poisson design,
+from ratios of elementary symmetric polynomials kept in the probability
+domain.
 
 Fixed-size (conditional Poisson) designs are governed by the elementary
 symmetric polynomials e_r of the odds o_j = p_j / (1 - p_j).  The raw
 polynomials overflow float64 long before N = 100, and their spread over
-r outgrows any single scale factor, so the kernel never forms them.  It
-runs the backward recursion of Chen, Dempster & Liu (1994, Biometrika
-81) on the ratios R[r, j] = e_{r-1}(o_j..) / e_r(o_j..),
+r outgrows any single scale factor, so they are never formed.
+``first_order`` runs the backward recursion of Chen, Dempster & Liu
+(1994, Biometrika 81) on the ratios R[r, j] = e_{r-1}(o_j..) / e_r(o_j..),
 
     R[r, j] = (1 + o_j R[r-1, j+1]) / (1 / R[r, j+1] + o_j),
     R[0, .] = 0,   R[r >= 1, N] = inf,
@@ -18,50 +19,19 @@ q[r, j] = o_j / (1 / R[r, j+1] + o_j): the chance that unit j enters
 when r slots are open for units j..N-1 (Tille 2006, Sampling
 Algorithms, ch. 5).  A forward pass over the distribution of open slots
 then gives the exact first-order inclusion probabilities
-pi_j = sum_r P(r open at j) q[r, j], and the last ratios give
-log e_m(o), from which the rejection sampler's budget error states its
-acceptance probability.  No sampler reads the table.
+pi_j = sum_r P(r open at j) q[r, j].  The q table is local to the call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = ["DesignKernel", "design_kernel"]
+__all__ = ["first_order"]
 
 
-@dataclass(frozen=True)
-class DesignKernel:
-    """The conditional inclusion table of a size-m conditional Poisson
-    design on N units with odds o.
-
-    ``q[r, j]`` is P(unit j enters | r slots open for units j..N-1) for
-    r = 0..m; states with r > N - j cannot occur.  ``log_esp`` is
-    log e_m(o).
-    """
-
-    q: np.ndarray
-    log_esp: float
-
-    def first_order(self) -> np.ndarray:
-        """Exact first-order inclusion probabilities, by pushing the
-        distribution of open slots through the units in order."""
-        table = self.q.T
-        open_slots = np.zeros(table.shape[1])
-        open_slots[-1] = 1.0
-        pi = np.empty(table.shape[0])
-        for j, row in enumerate(table):
-            take = open_slots * row
-            pi[j] = take.sum()
-            open_slots -= take
-            open_slots[:-1] += take[1:]
-        return np.minimum(pi, 1.0)
-
-
-def design_kernel(odds: np.ndarray, m: int) -> DesignKernel:
-    """Run the ratio recursion over strictly positive odds for m slots.
+def first_order(odds: np.ndarray, m: int) -> np.ndarray:
+    """Exact first-order inclusion probabilities of the size-m
+    conditional Poisson design on strictly positive odds.
 
     Raises ValueError for malformed odds or m outside [0, N], and
     ArithmeticError when the odds spread so far that a ratio leaves
@@ -91,10 +61,18 @@ def design_kernel(odds: np.ndarray, m: int) -> DesignKernel:
                 denom = 1.0 / ratio[1:] + o
                 table[j, 1:] = o / denom
                 ratio[1:] = (1.0 + o * ratio[:-1]) / denom
-            log_esp = -float(np.log(ratio[1:]).sum())
     except FloatingPointError as exc:
         raise ArithmeticError(
             f"symmetric-function ratios left double precision (N = {n_units}, "
             f"m = {m}, odds in [{odds.min():.3g}, {odds.max():.3g}])"
         ) from exc
-    return DesignKernel(q=table.T, log_esp=log_esp)
+    # Push the distribution of open slots through the units in order.
+    open_slots = np.zeros(m + 1)
+    open_slots[-1] = 1.0
+    pi = np.empty(n_units)
+    for j, row in enumerate(table):
+        take = open_slots * row
+        pi[j] = take.sum()
+        open_slots -= take
+        open_slots[:-1] += take[1:]
+    return np.minimum(pi, 1.0)

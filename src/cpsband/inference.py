@@ -119,27 +119,16 @@ def limit_cov_hajek(
     mc_n: int,
     rng: RngStream,
 ) -> LimitCovariance:
-    """Limit covariance of the Hájek process, the four-term correction of
-    the Horvitz-Thompson one by the constant function; all four terms
-    share one Monte Carlo draw so constants cancel exactly."""
-    if mc_n < 10_000:
-        raise ValueError("mc_n must be at least 10^4")
-    gen = rng.generator()
-    y, x = model(gen, mc_n)
-    kappa = _kappa(x, theta)
-    f_vals, g_vals = f(y), g(y)
-    ones = np.ones_like(y, dtype=float)
-    mean_f = float(f_vals.mean())
-    mean_g = float(g_vals.mean())
-    terms = (
-        _sigma_prime_terms(f_vals, g_vals, kappa)
-        - mean_f * _sigma_prime_terms(ones, g_vals, kappa)
-        - mean_g * _sigma_prime_terms(f_vals, ones, kappa)
-        + mean_f * mean_g * _sigma_prime_terms(ones, ones, kappa)
-    )
-    return LimitCovariance(
-        value=float(terms.mean()),
-        stderr=float(terms.std(ddof=1) / math.sqrt(mc_n)),
+    """Limit covariance of the Hájek process: the Horvitz-Thompson one at
+    the centered functions f − f̄ and g − ḡ.  ``limit_cov_ht`` applies
+    each function once to its whole Monte Carlo draw, so the means are
+    taken on that same draw.  The integrand is bilinear in (f, g), so
+    this is the four-term correction of the HT covariance by the
+    constant function, and constants cancel exactly."""
+    return limit_cov_ht(
+        lambda y: f(y) - f(y).mean(),
+        lambda y: g(y) - g(y).mean(),
+        model, theta, mc_n, rng,
     )
 
 

@@ -49,6 +49,20 @@ def _check_lengths(
         raise ValueError("population, probabilities, and sample lengths differ")
 
 
+def _weighted_process(
+    pop: PopulationFrame,
+    pi: InclusionProbabilities,
+    s: SampleIndicators,
+    c: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """N^{-1/2} Σ_i (c S_i/π_i − 1) I(y_i <= t) at the distinct population
+    y t in increasing order."""
+    weights = c * (s.s / pi.pi) - 1.0
+    scale = 1.0 / math.sqrt(pop.size)
+    t, counts = step_values(pop.y, weights)
+    return t, scale * counts
+
+
 def htep_evaluate(
     pop: PopulationFrame,
     pi: InclusionProbabilities,
@@ -58,10 +72,7 @@ def htep_evaluate(
     N^{-1/2} Σ_i (S_i/π_i − 1) I(y_i <= t), as the distinct population y t
     in increasing order and the process at each."""
     _check_lengths(pop, pi, s)
-    weights = s.s / pi.pi - 1.0
-    scale = 1.0 / math.sqrt(pop.size)
-    t, counts = step_values(pop.y, weights)
-    return t, scale * counts
+    return _weighted_process(pop, pi, s, 1.0)
 
 
 def hajek_evaluate(
@@ -77,7 +88,4 @@ def hajek_evaluate(
     n_hat = float((s.s / pi.pi).sum())
     if n_hat == 0.0:
         raise ValueError("estimated population size is zero (empty sample)")
-    weights = (pop.size / n_hat) * (s.s / pi.pi) - 1.0
-    scale = 1.0 / math.sqrt(pop.size)
-    t, counts = step_values(pop.y, weights)
-    return t, scale * counts
+    return _weighted_process(pop, pi, s, pop.size / n_hat)

@@ -7,6 +7,8 @@ law exactly; ``cps_sample_rejection_batch`` filters blocks of such
 proposals.  Under the canonical p (sum p = n) the size n is the mode of
 the Poisson sample size (Darroch 1964), and a draw takes about
 sqrt(2 pi d) proposals, d = sum p (1 - p), with no table of the design.
+The mode also bounds the mean at N + 1 proposals; a draw that spends
+40 (N + 1) raises SamplingError, which states that bound.
 ``cps_sample_sequential`` draws one sample.  With equal free p its law
 is simple random sampling without replacement, and with r slots open
 and N - j free units left it takes unit j with probability r / (N - j)
@@ -92,12 +94,6 @@ class SampleIndicators:
         return cls(s=arr, count=int(arr.sum()))
 
 
-def _log_acceptance(params: CanonicalPoissonParams) -> float:
-    """log P(Poisson size = n) = log e_m(free odds) + sum log(1 - p_free),
-    from the design kernel, for the budget error's expected attempts."""
-    return params.kernel().log_esp + float(np.log1p(-params.p[params.free]).sum())
-
-
 def cps_sample_rejection_batch(
     params: CanonicalPoissonParams,
     rng: RngStream,
@@ -110,8 +106,8 @@ def cps_sample_rejection_batch(
     holds 2 sqrt(2 pi max(d, 1)) proposals, about twice the expected
     count, for each draw still missing, up to ``_BLOCK_UNIFORMS``
     uniforms.  When the budget of ``_ATTEMPTS_PER_SIZE`` (N + 1)
-    proposals per draw runs out, SamplingError reports the expected
-    number of attempts per draw.
+    proposals per draw runs out, SamplingError states the bound of at
+    most N + 1 expected proposals per draw.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
@@ -129,10 +125,10 @@ def cps_sample_rejection_batch(
     while got < draws:
         block = min(per_draw * (draws - got), most, budget - spent)
         if block <= 0:
-            expected = math.exp(-_log_acceptance(params))
             raise SamplingError(
-                f"{got} of {draws} samples after {spent} proposals; "
-                f"expected attempts per draw is {expected:.12g}"
+                f"{got} of {draws} samples after {spent} proposals; at the "
+                f"canonical p a draw needs at most N + 1 = {n_units + 1} "
+                "proposals on average"
             )
         proposal = gen.random((block, n_units)) < p
         spent += block

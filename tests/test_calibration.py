@@ -3,8 +3,6 @@ the truncation constant."""
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +25,6 @@ from cpsband import (
     solve_truncation_constant,
     total_variation,
 )
-from cpsband.samplers import _log_acceptance
 
 from conftest import design_params
 from helpers import canonicalize_poisson, pips_exact
@@ -167,13 +164,13 @@ class TestPoissonFixedSizeMaps:
 
 def _count_forward_maps(monkeypatch) -> list[int]:
     calls = [0]
-    kernel = calibration.design_kernel
+    first_order = calibration.first_order
 
     def counting(odds, m):
         calls[0] += 1
-        return kernel(odds, m)
+        return first_order(odds, m)
 
-    monkeypatch.setattr(calibration, "design_kernel", counting)
+    monkeypatch.setattr(calibration, "first_order", counting)
     return calls
 
 
@@ -346,13 +343,10 @@ def test_params_carry_the_reduced_design():
     )
     np.testing.assert_array_equal(params.free, np.arange(6))
     assert params.slots == 3
-    p_free = params.p[:6]
-    kernel = params.kernel()
-    pi_exact, _ = exact_inclusion_orders(enumerate_cps_distribution(p_free, 3))
-    np.testing.assert_allclose(kernel.first_order(), pi_exact, rtol=0.0, atol=1e-14)
-    odds = p_free / (1 - p_free)
-    e3 = sum(np.prod(odds[list(c)]) for c in combinations(range(6), 3))
-    assert kernel.log_esp == pytest.approx(np.log(e3), rel=0.0, abs=1e-14)
+    pi_exact, _ = exact_inclusion_orders(enumerate_cps_distribution(params.p[:6], 3))
+    pi = cps_inclusion_from_poisson(params).pi
+    np.testing.assert_allclose(pi[:6], pi_exact, rtol=0.0, atol=1e-14)
+    assert pi[6] == 1.0
 
 
 UNEQUAL = canonicalize_poisson(np.array([0.2, 0.7, 1.0, 0.4, 0.9, 0.3]), 3)
@@ -365,14 +359,13 @@ EQUAL = CanonicalPoissonParams(p=np.array([0.4, 1.0, 0.4, 0.4, 0.4, 0.4]), n=3)
         (lambda: cps_inclusion_from_poisson(UNEQUAL), 1),
         (lambda: cps_sample_rejection_batch(UNEQUAL, RngStream(1), 5), 0),
         (lambda: cps_sample_sequential(UNEQUAL, RngStream(1)), 0),
-        (lambda: _log_acceptance(UNEQUAL), 1),
         (lambda: cps_sample_sequential(EQUAL, RngStream(1)), 0),
     ],
-    ids=["forward-map", "batch-draw", "unequal-draw", "log-acceptance", "equal-draw"],
+    ids=["forward-map", "batch-draw", "unequal-draw", "equal-draw"],
 )
 def test_each_caller_builds_the_kernel_once(monkeypatch, call, builds):
-    # Both the forward map and params.kernel() build their kernel through
-    # calibration.design_kernel, so counting its calls counts kernels.
+    # Every forward map builds its kernel in calibration.first_order, so
+    # counting its calls counts kernels.
     calls = _count_forward_maps(monkeypatch)
     call()
     assert calls[0] == builds

@@ -135,17 +135,25 @@ def test_simulate_threads_env_var(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "override, env, named",
+    "override, env, extra, named",
     [
-        ({}, "two", f"{THREADS_ENV_VAR}='two'"),
-        ({"levels": 0.9}, None, "levels must be a sequence"),
-        ({"quantile_draws": "100"}, None, "quantile_draws must be an integer"),
-        ({"threads": 1.0}, None, "threads must be an integer"),
+        ({}, "two", [], f"{THREADS_ENV_VAR}='two'"),
+        ({"levels": 0.9}, None, [], "levels must be a sequence"),
+        ({"quantile_draws": "100"}, None, [], "quantile_draws must be an integer"),
+        ({"threads": 1.0}, None, [], "threads must be an integer"),
+        ([1, 2], None, [], "config.json: expected a JSON object"),
+        ([1, 2], None, ["--seed", "3"], "config.json: expected a JSON object"),
     ],
-    ids=["threads-env", "levels", "quantile-draws", "threads-config"],
+    ids=[
+        "threads-env", "levels", "quantile-draws", "threads-config",
+        "list-config", "list-config-seed",
+    ],
 )
-def test_simulate_names_a_bad_input(tmp_path, capsys, monkeypatch, override, env, named):
-    config = {
+def test_simulate_names_a_bad_input(
+    tmp_path, capsys, monkeypatch, override, env, extra, named
+):
+    # A list override replaces the whole config: the file is no JSON object.
+    config = override if isinstance(override, list) else {
         "population_size": 40,
         "sampling_fraction": 0.2,
         "replications": 2,
@@ -160,6 +168,7 @@ def test_simulate_names_a_bad_input(tmp_path, capsys, monkeypatch, override, env
         monkeypatch.setenv(THREADS_ENV_VAR, env)
     assert main([
         "simulate", "--config", str(config_path), "--out", str(tmp_path / "report"),
+        *extra,
     ]) == 1
     assert named in capsys.readouterr().err
 

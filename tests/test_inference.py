@@ -38,7 +38,12 @@ from cpsband import (
     solve_truncation_constant,
     sup_quantile,
 )
-from cpsband.inference import _gaussian_paths, _path_constants
+from cpsband.inference import (
+    _gaussian_paths,
+    _kappa,
+    _path_constants,
+    _sigma_prime_terms,
+)
 
 from conftest import design_with_population
 from helpers import (
@@ -160,6 +165,23 @@ class TestLimitCovariance:
             mc_n=200_000, rng=RngStream(18),
         )
         assert hj.value == pytest.approx(ht.value, abs=4 * ht.stderr + 1e-3)
+
+    def test_hajek_limit_is_the_four_term_correction(self):
+        # Σ'(f − f̄, g − ḡ) expands by bilinearity into the HT integrand
+        # corrected by the constant function, on the same draw.
+        f = lambda y: (y <= 0.3).astype(float)
+        g = lambda y: (y <= 1.0).astype(float)
+        got = limit_cov_hajek(f, g, bounded_size_model, 0.2, 20_000, RngStream(19))
+        y, x = bounded_size_model(RngStream(19).generator(), 20_000)
+        kappa = _kappa(x, 0.2)
+        f_vals, g_vals, ones = f(y), g(y), np.ones_like(y)
+        terms = (
+            _sigma_prime_terms(f_vals, g_vals, kappa)
+            - f_vals.mean() * _sigma_prime_terms(ones, g_vals, kappa)
+            - g_vals.mean() * _sigma_prime_terms(f_vals, ones, kappa)
+            + f_vals.mean() * g_vals.mean() * _sigma_prime_terms(ones, ones, kappa)
+        )
+        assert got.value == pytest.approx(terms.mean(), rel=0.0, abs=1e-12)
 
     def test_plug_in_converges_to_limit(self):
         # The mean plug-in variance over CPS samples of proportional

@@ -134,7 +134,7 @@ def closed_form_design(kind):
 
 @pytest.mark.parametrize("kind", ["equal", "unequal"])
 def test_closed_form_single_draws_follow_the_conditioned_law(monkeypatch, kind):
-    monkeypatch.setattr(calibration, "design_kernel", no_kernel)
+    monkeypatch.setattr(calibration, "first_order", no_kernel)
     params, certain = closed_form_design(kind)
     draws = 20_000
     rng = RngStream(4040)
@@ -150,7 +150,7 @@ def test_closed_form_single_draws_follow_the_conditioned_law(monkeypatch, kind):
 
 
 def test_equal_draw_builds_no_kernel(monkeypatch):
-    monkeypatch.setattr(calibration, "design_kernel", no_kernel)
+    monkeypatch.setattr(calibration, "first_order", no_kernel)
     # At N = 1e4, n = 5000 the kernel's table alone would take 400 MB.
     params = CanonicalPoissonParams(p=np.full(10_000, 0.5), n=5_000)
     sample = cps_sample_sequential(params, RngStream(1))
@@ -182,16 +182,29 @@ def test_inclusion_frequencies_agree_with_exact_marginals():
 
 def test_rejection_budget_error_reports_expected_attempts(monkeypatch):
     # With no proposals allowed the budget error fires at once, through
-    # a single draw too.  On a small design with a certain unit the
-    # reported figure is 1 / P(|S| = n) under the independent design.
+    # a single draw too.  It reports the bound N + 1 on the expected
+    # attempts per draw, 1 / P(|S| = n) under the independent design,
+    # which on a small design with a certain unit enumeration gives.
     monkeypatch.setattr(samplers, "_ATTEMPTS_PER_SIZE", 0)
     params = canonicalize_poisson(np.array([0.05, 0.3, 0.6, 0.95, 0.5, 0.2, 1.0]), 4)
     with pytest.raises(SamplingError, match="0 of 1 samples after 0 proposals") as failure:
         cps_sample_sequential(params, RngStream(4))
-    reported = float(re.search(r"expected attempts per draw is (\S+)", str(failure.value))[1])
+    reported = int(re.search(r"at most N \+ 1 = (\d+) proposals", str(failure.value))[1])
+    assert reported == params.size + 1
     law = enumerate_poisson_distribution(params.p)
     acceptance = law.probability[law.indicators.sum(axis=1) == params.n].sum()
-    assert reported == pytest.approx(1.0 / acceptance, rel=1e-9)
+    assert 1.0 / acceptance <= reported
+
+
+def test_budget_error_builds_no_kernel(monkeypatch):
+    # An unequal design at N = 1e5, n = 1e4, where the kernel's table
+    # would take 8 GB: the budget error states a constant bound instead.
+    monkeypatch.setattr(calibration, "first_order", no_kernel)
+    monkeypatch.setattr(samplers, "_ATTEMPTS_PER_SIZE", 0)
+    p = np.random.default_rng(1).lognormal(0.0, 1.0, 100_000)
+    params = canonicalize_poisson(p / (2.0 * p.max()), 10_000)
+    with pytest.raises(SamplingError, match=r"at most N \+ 1 = 100001 proposals"):
+        cps_sample_sequential(params, RngStream(1))
 
 
 def test_certain_units_always_sampled():

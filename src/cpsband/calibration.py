@@ -293,7 +293,11 @@ def poisson_from_cps_inclusion(incl: InclusionProbabilities) -> CanonicalPoisson
     size-conditioned design has the given first-order probabilities.
 
     Newton iteration on the log-odds of the free units (0 < pi < 1),
-    started at the target log-odds.  At the achieved probabilities pi,
+    started where Hajek's (1964) first-order approximation
+    pi ~ p + v (p - p_bar) / d, with v = p (1 - p), d = sum v and
+    p_bar = sum v p / d, gives the target pi*: three O(N) steps
+    p <- pi* - v (p - p_bar) / d from p = pi*, each keeping sum p = sum pi*,
+    or p = pi* if a step leaves (0, 1).  At the achieved probabilities pi,
     with v = pi (1 - pi), d = sum v and r = pi* - pi, the step solves
     J delta = r for Hajek's (1964, Ann. Math. Statist. 35) approximate
     Jacobian J = diag(v + v^2 / d) - v v^T / d by Sherman-Morrison in
@@ -332,7 +336,15 @@ def poisson_from_cps_inclusion(incl: InclusionProbabilities) -> CanonicalPoisson
         p[free] = pi_free
         return CanonicalPoissonParams(p=p, n=n)
 
-    logit_p = _logit(pi_free)
+    start = pi_free
+    for _ in range(3):
+        v = start * (1.0 - start)
+        d = float(v.sum())
+        start = pi_free - v * (start - float(v @ start) / d) / d
+        if not np.all((start > 0.0) & (start < 1.0)):
+            start = pi_free
+            break
+    logit_p = _logit(start)
     achieved = _forward_map(_expit(logit_p), m)
     evaluations = 1
     step = 1.0

@@ -265,7 +265,10 @@ def _cmd_band(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     with open(args.config, encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.config}: config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{args.config}: expected a JSON object")
     if args.seed is not None:

@@ -19,7 +19,8 @@ q[r, j] = o_j / (1 / R[r, j+1] + o_j): the chance that unit j enters
 when r slots are open for units j..N-1 (Tille 2006, Sampling
 Algorithms, ch. 5).  A forward pass over the distribution of open slots
 then gives the exact first-order inclusion probabilities
-pi_j = sum_r P(r open at j) q[r, j].  The q table is local to the call.
+pi_j = sum_r P(r open at j) q[r, j].  The q table is local to the call,
+and both loops write into buffers and views made once per call.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ def first_order(odds: np.ndarray, m: int) -> np.ndarray:
     table = np.zeros((n_units, m + 1))
     ratio = np.full(m + 1, np.inf)
     ratio[0] = 0.0
+    q_open, ratio_open, ratio_less = table[:, 1:], ratio[1:], ratio[:-1]
+    denom, numer = np.empty(m), np.empty(m)
     # ratio[r] is inf wherever e_r = 0 (r > N - j), and 1 / inf = 0 makes
     # the forced state r = N - j give q = 1 exactly; no operation on those
     # entries sets a floating-point flag.  A flag therefore means a finite
@@ -58,9 +61,10 @@ def first_order(odds: np.ndarray, m: int) -> np.ndarray:
         with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
             for j in range(n_units - 1, -1, -1):
                 o = odds[j]
-                denom = 1.0 / ratio[1:] + o
-                table[j, 1:] = o / denom
-                ratio[1:] = (1.0 + o * ratio[:-1]) / denom
+                np.add(np.divide(1.0, ratio_open, out=denom), o, out=denom)
+                np.divide(o, denom, out=q_open[j])
+                np.add(np.multiply(o, ratio_less, out=numer), 1.0, out=numer)
+                np.divide(numer, denom, out=ratio_open)
     except FloatingPointError as exc:
         raise ArithmeticError(
             f"symmetric-function ratios left double precision (N = {n_units}, "
@@ -69,10 +73,12 @@ def first_order(odds: np.ndarray, m: int) -> np.ndarray:
     # Push the distribution of open slots through the units in order.
     open_slots = np.zeros(m + 1)
     open_slots[-1] = 1.0
+    take = np.empty(m + 1)
+    open_less, take_open = open_slots[:-1], take[1:]
     pi = np.empty(n_units)
     for j, row in enumerate(table):
-        take = open_slots * row
+        np.multiply(open_slots, row, out=take)
         pi[j] = take.sum()
         open_slots -= take
-        open_slots[:-1] += take[1:]
+        open_less += take_open
     return np.minimum(pi, 1.0)

@@ -1,6 +1,7 @@
 """Reference implementations the tests trust over the package: brute-force
 sums and exact solves, the n×n plug-in covariances that the Gaussian
-draws must reproduce, and the canonical representative of a parameter
+draws must reproduce, the earlier design kernel that the shipped one
+must match bit for bit, and the canonical representative of a parameter
 vector that the design strategies build on."""
 
 from __future__ import annotations
@@ -185,6 +186,51 @@ def unblocked_sup_norms(
     g_hajek = xi[:, last]
     g_hajek /= math.sqrt(n_hat)
     return tuple(np.sort(np.abs(g, out=g).max(axis=1)) for g in (g_ht, g_hajek))
+
+
+def reference_first_order(odds: np.ndarray, m: int) -> np.ndarray:
+    """``esp.first_order`` as it stood before its loops wrote into
+    buffers made once per call: every step allocates its temporaries.
+    The shipped kernel must equal it bit for bit, ``ArithmeticError``
+    included."""
+    odds = np.asarray(odds, dtype=float)
+    if odds.ndim != 1:
+        raise ValueError("odds must be a 1-d array")
+    if not np.all(np.isfinite(odds)) or np.any(odds <= 0):
+        raise ValueError("odds must be finite and positive")
+    n_units = odds.shape[0]
+    if not 0 <= m <= n_units:
+        raise ValueError(f"slot count {m} outside [0, {n_units}]")
+    # Row j holds q[:, j], so each step writes contiguous memory.
+    table = np.zeros((n_units, m + 1))
+    ratio = np.full(m + 1, np.inf)
+    ratio[0] = 0.0
+    # ratio[r] is inf wherever e_r = 0 (r > N - j), and 1 / inf = 0 makes
+    # the forced state r = N - j give q = 1 exactly; no operation on those
+    # entries sets a floating-point flag.  A flag therefore means a finite
+    # ratio overflowed or underflowed to zero.
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            for j in range(n_units - 1, -1, -1):
+                o = odds[j]
+                denom = 1.0 / ratio[1:] + o
+                table[j, 1:] = o / denom
+                ratio[1:] = (1.0 + o * ratio[:-1]) / denom
+    except FloatingPointError as exc:
+        raise ArithmeticError(
+            f"symmetric-function ratios left double precision (N = {n_units}, "
+            f"m = {m}, odds in [{odds.min():.3g}, {odds.max():.3g}])"
+        ) from exc
+    # Push the distribution of open slots through the units in order.
+    open_slots = np.zeros(m + 1)
+    open_slots[-1] = 1.0
+    pi = np.empty(n_units)
+    for j, row in enumerate(table):
+        take = open_slots * row
+        pi[j] = take.sum()
+        open_slots -= take
+        open_slots[:-1] += take[1:]
+    return np.minimum(pi, 1.0)
 
 
 def binomial_central_interval(

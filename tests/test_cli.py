@@ -143,17 +143,22 @@ def test_simulate_threads_env_var(tmp_path, capsys, monkeypatch):
         ({"threads": 1.0}, None, [], "threads must be an integer"),
         ([1, 2], None, [], "config.json: expected a JSON object"),
         ([1, 2], None, ["--seed", "3"], "config.json: expected a JSON object"),
+        (
+            '{"a": ', None, [],
+            "config.json: config is not valid JSON: Expecting value: line 1 column 7",
+        ),
     ],
     ids=[
         "threads-env", "levels", "quantile-draws", "threads-config",
-        "list-config", "list-config-seed",
+        "list-config", "list-config-seed", "malformed-json",
     ],
 )
 def test_simulate_names_a_bad_input(
     tmp_path, capsys, monkeypatch, override, env, extra, named
 ):
-    # A list override replaces the whole config: the file is no JSON object.
-    config = override if isinstance(override, list) else {
+    # A list override replaces the whole config: the file is no JSON
+    # object.  A string override is the file's whole text.
+    config = override if isinstance(override, (list, str)) else {
         "population_size": 40,
         "sampling_fraction": 0.2,
         "replications": 2,
@@ -161,7 +166,7 @@ def test_simulate_names_a_bad_input(
         **override,
     }
     config_path = tmp_path / "config.json"
-    config_path.write_text(json.dumps(config))
+    config_path.write_text(config if isinstance(config, str) else json.dumps(config))
     if env is None:
         monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
     else:

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from cpsband.esp import first_order
 
-from helpers import esp_exact
+from helpers import esp_exact, reference_first_order
 
 # Integer odds <= 8 on <= 12 units, so Fractions give exact references.
 int_odds = st.lists(st.integers(1, 8), min_size=1, max_size=12)
@@ -84,3 +84,34 @@ def test_rejects_slot_count_beyond_units():
     for m in (-1, 3):
         with pytest.raises(ValueError):
             first_order(np.ones(2), m)
+
+
+def _first_order_or_error(kernel, odds, m):
+    try:
+        return kernel(odds, m)
+    except ArithmeticError as exc:
+        return str(exc)
+
+
+def test_kernel_matches_the_allocating_reference_bit_for_bit():
+    # Every fourth design spreads its log-odds over hundreds, where the
+    # symmetric-function ratios leave double precision.
+    rng = np.random.default_rng(19)
+    designs = []
+    for i in range(300):
+        n_units = int(rng.integers(1, 600))
+        spread = rng.uniform(0.1, 5.0) if i % 4 else rng.uniform(350.0, 700.0)
+        odds = np.exp(rng.uniform(-spread, spread, n_units))
+        designs.append((odds, int(rng.integers(0, n_units + 1))))
+    for n_units in (500, 2000):
+        designs.append((rng.lognormal(0.0, 1.0, n_units), n_units // 10))
+    raised = 0
+    for odds, m in designs:
+        got = _first_order_or_error(first_order, odds, m)
+        want = _first_order_or_error(reference_first_order, odds, m)
+        if isinstance(want, str):
+            raised += 1
+            assert got == want
+        else:
+            assert isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+    assert 0 < raised < len(designs)

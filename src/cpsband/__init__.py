@@ -14,7 +14,6 @@ from .calibration import (
 from .inference import (
     BandStatistics,
     LimitCovariance,
-    QuantileEstimate,
     band_pipeline,
     limit_cov_hajek,
     limit_cov_ht,
@@ -25,7 +24,6 @@ from .oracle import (
     DesignDistribution,
     empirical_cps_distribution,
     enumerate_cps_distribution,
-    enumerate_poisson_distribution,
     exact_design_moments,
     exact_inclusion_orders,
     total_variation,
@@ -59,7 +57,6 @@ __all__ = [
     "InclusionProbabilities",
     "LimitCovariance",
     "PopulationFrame",
-    "QuantileEstimate",
     "ReportCell",
     "RngStream",
     "SampleIndicators",
@@ -71,7 +68,6 @@ __all__ = [
     "cps_sample_sequential",
     "empirical_cps_distribution",
     "enumerate_cps_distribution",
-    "enumerate_poisson_distribution",
     "exact_design_moments",
     "exact_inclusion_orders",
     "format_report",

@@ -2,9 +2,8 @@
 
 All file outputs are written atomically (temp file in the target
 directory, then rename) as UTF-8 with LF line endings, so reruns with
-identical inputs and seed produce identical bytes.  Worker count
-resolution order: --threads flag, then the CPSBAND_THREADS environment
-variable, then the config file value.
+identical inputs and seed produce identical bytes.  The worker count
+of ``simulate`` is the config's ``threads``, which --threads overrides.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +47,12 @@ from .simulate import SimConfig, format_report, run_experiment
 
 __all__ = ["main"]
 
-THREADS_ENV_VAR = "CPSBAND_THREADS"
-
 
 def _atomic_write_text(path: Path, text: str) -> None:
-    directory = path.parent if str(path.parent) else Path(".")
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=path.name, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
@@ -143,18 +143,20 @@ def _read_sample(
             raise ValueError(f"{path}: sample CSV needs unit and s columns")
         unit_col, s_col = header.index("unit"), header.index("s")
         pi_col = header.index("pi") if "pi" in header else None
-        by_unit, stated = {}, {}
+        population, by_unit, stated = set(units), {}, {}
         for row in _unit_rows(path, reader, header):
             unit, s = row[unit_col], row[s_col]
+            if unit not in population:
+                raise _row_error(path, reader, unit, "unit not in the population")
             if s.strip() not in ("0", "1"):
                 raise _row_error(path, reader, unit, f"s {s!r} is not 0 or 1")
             by_unit[unit] = int(s)
             if pi_col is not None:
                 text = row[pi_col]
                 stated[unit] = (text, _number(path, reader, unit, "pi", text))
-    missing = [u for u in units if u not in by_unit]
-    if missing or len(by_unit) != len(units):
-        raise ValueError(f"{path}: sample units do not match the population")
+    missing = next((u for u in units if u not in by_unit), None)
+    if missing is not None:
+        raise ValueError(f"{path}: population unit {missing!r} is not in the sample")
     sample = SampleIndicators.from_array(np.array([by_unit[u] for u in units]))
     if sample.count == 0:
         raise ValueError(f"{path}: no unit has s = 1")
@@ -169,18 +171,6 @@ def _read_sample(
                 f"is not the design's {_fmt(incl.pi[wrong[0]])}"
             )
     return sample, incl
-
-
-def _resolve_threads(flag: int | None, fallback: int) -> int:
-    if flag is not None:
-        return flag
-    env = os.environ.get(THREADS_ENV_VAR)
-    if not env:
-        return fallback
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV_VAR}={env!r} is not an integer") from None
 
 
 def _log_resolution(args: argparse.Namespace, **extra: object) -> None:
@@ -242,11 +232,11 @@ def _cmd_band(args: argparse.Namespace) -> int:
         pop, incl, sample, (args.gamma,), args.quantile_draws, RngStream(args.seed)
     )
     estimator = args.estimator.upper()
-    quantile = stats.quantile(estimator, 0)
+    q_hat = stats.quantile(estimator, 0)
     weights = sample.s / incl.pi
     weights = weights / (weights.sum() if estimator == "HAJEK" else pop.size)
     thresholds, center = step_values(pop.y, weights)
-    halfwidth = quantile.q_hat / math.sqrt(pop.size)
+    halfwidth = q_hat / math.sqrt(pop.size)
     lower = np.clip(center - halfwidth, 0.0, 1.0)
     upper = np.clip(center + halfwidth, 0.0, 1.0)
     rows = [
@@ -257,7 +247,7 @@ def _cmd_band(args: argparse.Namespace) -> int:
         Path(args.out), _csv_text(["t", "center", "lower", "upper"], rows)
     )
     print(
-        f"sup={stats.sup(estimator):.6f} q_hat={quantile.q_hat:.6f} "
+        f"sup={stats.sup(estimator):.6f} q_hat={q_hat:.6f} "
         f"covered={stats.covered(estimator, 0)} width={2.0 * halfwidth:.6f}"
     )
     return 0
@@ -271,9 +261,17 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError(f"{args.config}: config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{args.config}: expected a JSON object")
+    required = {f.name: f.default is MISSING for f in fields(SimConfig)}
+    for name in raw:
+        if name not in required:
+            raise ValueError(f"{args.config}: unknown config field {name!r}")
+    for name in required:
+        if required[name] and name not in raw:
+            raise ValueError(f"{args.config}: missing config field {name!r}")
     if args.seed is not None:
         raw["master_seed"] = args.seed
-    raw["threads"] = _resolve_threads(args.threads, raw.get("threads", 1))
+    if args.threads is not None:
+        raw["threads"] = args.threads
     config = SimConfig(**raw)
     _log_resolution(
         args,
@@ -383,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     sim.add_argument("--config", required=True, help="JSON config with SimConfig fields")
     sim.add_argument("--seed", type=int, default=None, help="override master_seed")
     sim.add_argument("--threads", type=int, default=None,
-                     help=f"worker count (or set {THREADS_ENV_VAR})")
+                     help="worker count (overrides the config's threads)")
     sim.add_argument("--out", required=True, help="output path prefix (.txt and .csv)")
     sim.set_defaults(func=_cmd_simulate)
 

@@ -32,21 +32,18 @@ __all__ = ["first_order"]
 
 def first_order(odds: np.ndarray, m: int) -> np.ndarray:
     """Exact first-order inclusion probabilities of the size-m
-    conditional Poisson design on strictly positive odds.
+    conditional Poisson design on the odds.
 
-    Raises ValueError for malformed odds or m outside [0, N], and
-    ArithmeticError when the odds spread so far that a ratio leaves
-    double precision; the table then never holds a NaN or a wrong
-    infinity.
+    Precondition, not checked here: ``odds`` is a 1-d float array of
+    finite, strictly positive values and 0 <= m <= N.  The one caller,
+    ``calibration._forward_map``, passes p / (1 - p) for p in (0, 1):
+    the free p of validated ``CanonicalPoissonParams``, a trial point
+    ``_forward_at_trial`` has screened, or the Newton start, built
+    inside (0, 1).  Raises ArithmeticError when the odds spread so far
+    that a ratio leaves double precision; the table then never holds a
+    NaN or a wrong infinity.
     """
-    odds = np.asarray(odds, dtype=float)
-    if odds.ndim != 1:
-        raise ValueError("odds must be a 1-d array")
-    if not np.all(np.isfinite(odds)) or np.any(odds <= 0):
-        raise ValueError("odds must be finite and positive")
     n_units = odds.shape[0]
-    if not 0 <= m <= n_units:
-        raise ValueError(f"slot count {m} outside [0, {n_units}]")
     # Row j holds q[:, j], so each step writes contiguous memory.
     table = np.zeros((n_units, m + 1))
     ratio = np.full(m + 1, np.inf)

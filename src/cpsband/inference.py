@@ -35,7 +35,6 @@ from .samplers import RngStream, SampleIndicators
 __all__ = [
     "BandStatistics",
     "LimitCovariance",
-    "QuantileEstimate",
     "band_pipeline",
     "limit_cov_hajek",
     "limit_cov_ht",
@@ -46,23 +45,6 @@ __all__ = [
 # A population model draws (y, x) pairs; bounded_size_model in
 # tests/helpers.py is one.
 PopulationModel = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
-
-
-@dataclass(frozen=True)
-class QuantileEstimate:
-    """Simulated gamma-quantile of a Gaussian sup norm."""
-
-    gamma: float
-    q_hat: float
-    mc_draws: int
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError("gamma must lie in (0, 1)")
-        if self.q_hat < 0.0:
-            raise ValueError("quantile must be nonnegative")
-        if self.mc_draws < 1:
-            raise ValueError("mc_draws must be positive")
 
 
 class LimitCovariance(NamedTuple):
@@ -252,24 +234,20 @@ def simulate_sup_norms(
     return sups[0], sups[1]
 
 
-def sup_quantile(sorted_sups: np.ndarray, gamma: float) -> QuantileEstimate:
+def sup_quantile(sorted_sups: np.ndarray, gamma: float) -> float:
     """The gamma-quantile of B' sorted simulated sup norms, taken as the
     order statistic at index ceil(gamma·B'), which never falls below the
     true empirical quantile."""
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must lie in (0, 1)")
-    b_prime = sorted_sups.shape[0]
-    rank = gamma * b_prime
+    rank = gamma * sorted_sups.shape[0]
     # The product carries rounding error (0.55·100 evaluates to
     # 55.00000000000001), so one within a few ulps of a whole number is
     # taken as that number.
     nearest = round(rank)
     if abs(rank - nearest) <= 4 * math.ulp(rank):
         rank = nearest
-    index = math.ceil(rank) - 1
-    return QuantileEstimate(
-        gamma=gamma, q_hat=float(sorted_sups[index]), mc_draws=b_prime
-    )
+    return float(sorted_sups[math.ceil(rank) - 1])
 
 
 @dataclass(frozen=True)
@@ -279,14 +257,14 @@ class BandStatistics:
 
     sup_ht: float
     sup_hajek: float
-    q_ht: tuple[QuantileEstimate, ...]
-    q_hajek: tuple[QuantileEstimate, ...]
+    q_ht: tuple[float, ...]
+    q_hajek: tuple[float, ...]
 
     def sup(self, estimator: str) -> float:
         """The "HT" or "HAJEK" sup statistic."""
         return {"HT": self.sup_ht, "HAJEK": self.sup_hajek}[estimator]
 
-    def quantile(self, estimator: str, level_index: int) -> QuantileEstimate:
+    def quantile(self, estimator: str, level_index: int) -> float:
         """The "HT" or "HAJEK" sup quantile at one level."""
         return {"HT": self.q_ht, "HAJEK": self.q_hajek}[estimator][level_index]
 
@@ -294,7 +272,7 @@ class BandStatistics:
         """Whether that estimator's band at that level covers the
         population CDF: sup <= q_hat, a closed inequality, so a sup that
         hits the quantile counts as covered."""
-        return self.sup(estimator) <= self.quantile(estimator, level_index).q_hat
+        return self.sup(estimator) <= self.quantile(estimator, level_index)
 
 
 def band_pipeline(

@@ -4,6 +4,7 @@ Everything here is an independent ground truth for the analytic code
 paths: the fixed-size law is written out sample by sample, first and
 second order inclusion probabilities and design moments come from the
 full enumeration, and distances between laws are computed exactly.
+Every law here is a fixed-size one, over all size-n samples.
 Population sizes are capped so the enumeration stays exhaustive.  The
 module holds no sampler: the shipped one is checked against these laws.
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -22,28 +23,25 @@ from .calibration import _frozen_array
 __all__ = [
     "DesignDistribution",
     "MAX_CPS_UNITS",
-    "MAX_POISSON_UNITS",
     "empirical_cps_distribution",
     "enumerate_cps_distribution",
-    "enumerate_poisson_distribution",
     "exact_design_moments",
     "exact_inclusion_orders",
     "total_variation",
 ]
 
-# C(20, 10) ≈ 184k rows and 2^16 = 65536 rows are the practical
-# ceilings for exhaustive property tests.
+# C(20, 10) ≈ 184k rows is the practical ceiling for exhaustive
+# property tests.
 MAX_CPS_UNITS = 20
-MAX_POISSON_UNITS = 16
 
 
 @dataclass(frozen=True)
 class DesignDistribution:
-    """A sampling design written out as (indicator row, probability) pairs."""
+    """A fixed-size sampling design written out as (indicator row,
+    probability) pairs, one per size-n sample."""
 
     indicators: np.ndarray
     probability: np.ndarray
-    kind: Literal["CPS", "POISSON"]
 
     def __post_init__(self) -> None:
         ind = np.asarray(self.indicators)
@@ -54,15 +52,12 @@ class DesignDistribution:
             raise ValueError("indicators must be 0 or 1")
         if np.any(prob < 0) or abs(prob.sum() - 1.0) > 1e-12:
             raise ValueError("probabilities must be nonnegative and sum to 1")
-        if self.kind == "CPS":
-            sizes = ind.sum(axis=1)
-            n = int(sizes[0])
-            if np.any(sizes != n):
-                raise ValueError("CPS samples must share one size")
-            if ind.shape[0] != comb(ind.shape[1], n):
-                raise ValueError("CPS support must list every size-n sample")
-        elif self.kind != "POISSON":
-            raise ValueError(f"unknown design kind {self.kind!r}")
+        sizes = ind.sum(axis=1)
+        n = int(sizes[0])
+        if np.any(sizes != n):
+            raise ValueError("samples must share one size")
+        if ind.shape[0] != comb(ind.shape[1], n):
+            raise ValueError("the support must list every size-n sample")
         object.__setattr__(self, "indicators", _frozen_array(ind, np.int8))
         object.__setattr__(self, "probability", _frozen_array(prob, float))
 
@@ -97,23 +92,7 @@ def enumerate_cps_distribution(p: np.ndarray, n: int) -> DesignDistribution:
     total = weight.sum()
     if total <= 0.0:
         raise ValueError("every size-n sample has zero probability")
-    return DesignDistribution(indicators=ind, probability=weight / total, kind="CPS")
-
-
-def enumerate_poisson_distribution(p: np.ndarray) -> DesignDistribution:
-    """The independent-indicator law over all 2^N samples."""
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 1:
-        raise ValueError("p must be a 1-d array")
-    n_units = p.shape[0]
-    if n_units > MAX_POISSON_UNITS:
-        raise ValueError(f"enumeration is limited to N <= {MAX_POISSON_UNITS}")
-    if np.any(p < 0) or np.any(p > 1):
-        raise ValueError("p must lie in [0, 1]")
-    codes = np.arange(2**n_units, dtype=np.int64)
-    ind = ((codes[:, None] >> np.arange(n_units)) & 1).astype(np.int8)
-    prob = np.prod(np.where(ind == 1, p, 1.0 - p), axis=1)
-    return DesignDistribution(indicators=ind, probability=prob, kind="POISSON")
+    return DesignDistribution(indicators=ind, probability=weight / total)
 
 
 def empirical_cps_distribution(draws: np.ndarray) -> DesignDistribution:
@@ -136,9 +115,7 @@ def empirical_cps_distribution(draws: np.ndarray) -> DesignDistribution:
     order = np.argsort(codes)
     slot = order[np.searchsorted(codes[order], drawn)]
     counts = np.bincount(slot, minlength=ind.shape[0]).astype(float)
-    return DesignDistribution(
-        indicators=ind, probability=counts / draws.shape[0], kind="CPS"
-    )
+    return DesignDistribution(indicators=ind, probability=counts / draws.shape[0])
 
 
 def exact_inclusion_orders(d: DesignDistribution) -> tuple[np.ndarray, np.ndarray]:

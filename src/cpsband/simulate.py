@@ -189,7 +189,7 @@ def run_experiment(config: SimConfig) -> CoverageReport:
     for estimator in ("HT", "HAJEK"):
         for j, level in enumerate(config.levels):
             flags = [r.covered(estimator, j) for r in records]
-            widths = np.array([r.quantile(estimator, j).q_hat for r in records]) * scale
+            widths = np.array([r.quantile(estimator, j) for r in records]) * scale
             cells.append(
                 ReportCell(
                     estimator=estimator,

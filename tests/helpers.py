@@ -1,7 +1,8 @@
 """Reference implementations the tests trust over the package: brute-force
 sums and exact solves, the n×n plug-in covariances that the Gaussian
 draws must reproduce, the earlier design kernel that the shipped one
-must match bit for bit, and the canonical representative of a parameter
+must match bit for bit, the independent (Poisson) design's law and its
+size-n conditioning, and the canonical representative of a parameter
 vector that the design strategies build on."""
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from cpsband import (
     CalibrationError,
     CanonicalPoissonParams,
+    DesignDistribution,
     InclusionProbabilities,
     PopulationFrame,
     SampleIndicators,
@@ -36,6 +38,26 @@ def esp_exact(odds: list[Fraction | int], k: int) -> Fraction:
             prod *= value
         total += prod
     return total
+
+
+def poisson_law(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The independent-indicator law over all 2^N samples: one indicator
+    row per sample, unit i in bit i of the row's index, and its
+    probability."""
+    n_units = p.shape[0]
+    codes = np.arange(2**n_units, dtype=np.int64)
+    ind = ((codes[:, None] >> np.arange(n_units)) & 1).astype(np.int8)
+    return ind, np.prod(np.where(ind == 1, p, 1.0 - p), axis=1)
+
+
+def conditioned_law(p: np.ndarray, n: int) -> DesignDistribution:
+    """The size-n law of the independent design on p, by conditioning
+    its enumeration on the sample size."""
+    ind, prob = poisson_law(p)
+    size_n = ind.sum(axis=1) == n
+    return DesignDistribution(
+        indicators=ind[size_n], probability=prob[size_n] / prob[size_n].sum()
+    )
 
 
 def weighted_cdf_counts_brute(

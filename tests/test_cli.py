@@ -15,7 +15,7 @@ from cpsband import (
     band_pipeline,
     pips_probabilities,
 )
-from cpsband.cli import THREADS_ENV_VAR, main
+from cpsband.cli import main
 
 from helpers import weighted_cdf_counts_brute
 
@@ -116,46 +116,54 @@ def test_simulate_writes_text_and_csv(tmp_path, capsys):
     assert "runtime=" in stdout
 
 
-def test_simulate_threads_env_var(tmp_path, capsys, monkeypatch):
+def test_simulate_threads_flag_overrides_config(tmp_path, capsys):
     config = {
         "population_size": 40,
         "sampling_fraction": 0.2,
         "replications": 4,
         "quantile_draws": 200,
         "master_seed": 9,
+        "threads": 1,
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
-    monkeypatch.setenv(THREADS_ENV_VAR, "2")
     out = tmp_path / "report"
     assert main([
         "simulate", "--config", str(config_path), "--out", str(out),
     ]) == 0
+    assert "threads=1" in capsys.readouterr().out
+    single = out.with_suffix(".txt").read_bytes()
+    assert main([
+        "simulate", "--config", str(config_path), "--threads", "2", "--out", str(out),
+    ]) == 0
     assert "threads=2" in capsys.readouterr().out
+    assert out.with_suffix(".txt").read_bytes() == single
 
 
 @pytest.mark.parametrize(
-    "override, env, extra, named",
+    "override, extra, named",
     [
-        ({}, "two", [], f"{THREADS_ENV_VAR}='two'"),
-        ({"levels": 0.9}, None, [], "levels must be a sequence"),
-        ({"quantile_draws": "100"}, None, [], "quantile_draws must be an integer"),
-        ({"threads": 1.0}, None, [], "threads must be an integer"),
-        ([1, 2], None, [], "config.json: expected a JSON object"),
-        ([1, 2], None, ["--seed", "3"], "config.json: expected a JSON object"),
+        ({"levels": 0.9}, [], "levels must be a sequence"),
+        ({"quantile_draws": "100"}, [], "quantile_draws must be an integer"),
+        ({"threads": 1.0}, [], "threads must be an integer"),
+        ([1, 2], [], "config.json: expected a JSON object"),
+        ([1, 2], ["--seed", "3"], "config.json: expected a JSON object"),
         (
-            '{"a": ', None, [],
+            '{"a": ', [],
             "config.json: config is not valid JSON: Expecting value: line 1 column 7",
+        ),
+        ({"bogus": 1}, [], "config.json: unknown config field 'bogus'"),
+        (
+            '{"sampling_fraction": 0.2, "replications": 2}', ["--seed", "3"],
+            "config.json: missing config field 'population_size'",
         ),
     ],
     ids=[
-        "threads-env", "levels", "quantile-draws", "threads-config",
-        "list-config", "list-config-seed", "malformed-json",
+        "levels", "quantile-draws", "threads-config", "list-config",
+        "list-config-seed", "malformed-json", "unknown-field", "missing-field",
     ],
 )
-def test_simulate_names_a_bad_input(
-    tmp_path, capsys, monkeypatch, override, env, extra, named
-):
+def test_simulate_names_a_bad_input(tmp_path, capsys, override, extra, named):
     # A list override replaces the whole config: the file is no JSON
     # object.  A string override is the file's whole text.
     config = override if isinstance(override, (list, str)) else {
@@ -167,10 +175,6 @@ def test_simulate_names_a_bad_input(
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(config if isinstance(config, str) else json.dumps(config))
-    if env is None:
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
-    else:
-        monkeypatch.setenv(THREADS_ENV_VAR, env)
     assert main([
         "simulate", "--config", str(config_path), "--out", str(tmp_path / "report"),
         *extra,
@@ -207,17 +211,6 @@ def test_malformed_population_reports_single_line_error(tmp_path, capsys):
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert not out.exists()
-
-
-def test_band_rejects_mismatched_sample(population_csv, tmp_path, capsys):
-    sample = tmp_path / "sample.csv"
-    sample.write_text("unit,s\n999,1\n")
-    code = main([
-        "band", "--population", str(population_csv),
-        "--sample", str(sample), "--out", str(tmp_path / "b.csv"),
-    ])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("estimator", ["ht", "hajek"])
@@ -274,7 +267,7 @@ def test_band_center_is_the_estimated_cdf(population_csv, tmp_path, estimator):
         pop, pips_probabilities(pop.x, sample.count), sample, (0.95,), 1000,
         RngStream(0),
     )
-    halfwidth = stats.quantile(estimator.upper(), 0).q_hat / np.sqrt(len(y))
+    halfwidth = stats.quantile(estimator.upper(), 0) / np.sqrt(len(y))
     lower = np.array([float(r["lower"]) for r in band])
     upper = np.array([float(r["upper"]) for r in band])
     assert np.array_equal(lower, np.clip(got - halfwidth, 0.0, 1.0))
@@ -311,6 +304,44 @@ def band_error(tmp_path, capsys, population_text, sample_text):
 
 
 POPULATION_0_TO_3 = "unit,y,x\n0,1.5,1.0\n1,0.2,2.0\n2,3.1,1.5\n3,2.2,0.5\n"
+
+
+def test_band_rejects_mismatched_sample(tmp_path, capsys):
+    # A unit the population lacks is named with its line; a population
+    # unit the sample lacks is named alone, as it has no line.
+    for sample_text, named in (
+        ("unit,s\n0,1\n1,0\n2,1\n", "sample.csv: population unit '3' is not in the sample"),
+        (
+            "unit,s\n0,1\n1,0\n2,1\n3,0\n999,1\n",
+            "sample.csv: line 6, unit '999': unit not in the population",
+        ),
+        (
+            "unit,s\n0,1\n1,0\n2,1\n999,0\n",
+            "sample.csv: line 5, unit '999': unit not in the population",
+        ),
+    ):
+        assert named in band_error(tmp_path, capsys, POPULATION_0_TO_3, sample_text)
+
+
+@pytest.mark.parametrize("command", ["calibrate", "sample", "band"])
+def test_out_in_a_missing_directory_is_named(population_csv, tmp_path, capsys, command):
+    # The error names the output path, not the temporary file beside it,
+    # and nothing is left behind.
+    sample = tmp_path / "sample.csv"
+    sample.write_text("unit,s\n" + "".join(f"{i},{int(i < 8)}\n" for i in range(40)))
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / "nodir" / "out.csv"
+    inputs = {
+        "calibrate": ["--size", "8"],
+        "sample": ["--size", "8"],
+        "band": ["--sample", str(sample), "--quantile-draws", "100"],
+    }[command]
+    code = main([command, "--population", str(population_csv), *inputs, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: cannot write {out}: No such file or directory\n"
+    assert ".tmp" not in err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_band_rejects_duplicate_sample_unit(tmp_path, capsys):

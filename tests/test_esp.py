@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cpsband.calibration import _expit, _logit
 from cpsband.esp import first_order
 
 from helpers import esp_exact, reference_first_order
@@ -44,18 +45,6 @@ def test_include_probability_forced_and_spent_states(case):
     assert pi.sum() == pytest.approx(m, abs=1e-12)
 
 
-@given(int_odds)
-def test_structural_zeros(odds):
-    # e_k(o_j..) = 0 for k > N - j: no design draws more units than the
-    # suffix holds, and with m = N every unit is forced.
-    n_units = len(odds)
-    for j in range(n_units):
-        for k in range(n_units - j + 1, n_units + 1):
-            with pytest.raises(ValueError):
-                first_order(np.array(odds[j:], dtype=float), k)
-    assert np.all(first_order(np.array(odds, dtype=float), n_units) == 1.0)
-
-
 @pytest.mark.parametrize("odds", [2.0, 1e6], ids=["odds2", "odds1e6"])
 def test_equal_odds_closed_form(odds):
     # e_0..e_200 of 400 units with odds 1e6 span ~2**4200, more than one
@@ -72,18 +61,17 @@ def test_extreme_odds_mix_raises_arithmetic_error():
         first_order(odds, 2)
 
 
-def test_rejects_negative_and_non_finite_odds():
-    for odds in ([1.0, -0.5], [np.inf, 1.0], [np.nan, 1.0], [0.0, 1.0]):
-        with pytest.raises(ValueError):
-            first_order(np.array(odds), 1)
-    with pytest.raises(ValueError):
-        first_order(np.ones((2, 2)), 1)
-
-
-def test_rejects_slot_count_beyond_units():
-    for m in (-1, 3):
-        with pytest.raises(ValueError):
-            first_order(np.ones(2), m)
+def test_newton_start_reaches_the_kernel_inside_the_unit_interval():
+    # The kernel checks none of its odds.  The inverse solve hands it
+    # expit(logit(q)) for a start q in (0, 1) without the screen that
+    # every trial point passes, so the round trip must stay strictly
+    # inside (0, 1), where the odds are finite and positive.
+    q = np.array([5e-324, 1e-300, 0.5, 1.0 - 2.0**-52, np.nextafter(1.0, 0.0)])
+    with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+        p = _expit(_logit(q))
+    assert np.all((p > 0.0) & (p < 1.0))
+    odds = p / (1.0 - p)
+    assert np.all(np.isfinite(odds) & (odds > 0.0))
 
 
 def _first_order_or_error(kernel, odds, m):

@@ -18,7 +18,6 @@ from cpsband import (
     CanonicalPoissonParams,
     InclusionProbabilities,
     PopulationFrame,
-    QuantileEstimate,
     RngStream,
     SampleIndicators,
     band_pipeline,
@@ -234,7 +233,7 @@ def one_unit_abs_normals(b_prime, rng):
 class TestSupQuantile:
     def test_univariate_matches_normal_quantile(self):
         q = sup_quantile(one_unit_abs_normals(50_000, RngStream(5)), 0.95)
-        assert q.q_hat == pytest.approx(1.959964, rel=0.02)
+        assert q == pytest.approx(1.959964, rel=0.02)
 
     def test_monotone_in_gamma(self):
         pop = generate_population(60, RngStream(12))
@@ -242,7 +241,7 @@ class TestSupQuantile:
         params = poisson_from_cps_inclusion(incl)
         _, y_s, pi_s, d_n = sampled_design(pop, params, incl, 9)
         for sups in simulate_sup_norms(y_s, pi_s, d_n, 60, 4000, RngStream(9)):
-            qs = [sup_quantile(sups, g).q_hat for g in (0.5, 0.8, 0.9, 0.99)]
+            qs = [sup_quantile(sups, g) for g in (0.5, 0.8, 0.9, 0.99)]
             assert qs == sorted(qs)
 
     def test_rejects_tiny_monte_carlo(self):
@@ -258,13 +257,12 @@ class TestSupQuantile:
     def test_order_statistic_rule(self):
         # Index ceil(gamma·B') − 1 of the sorted sups.
         sups = np.arange(1.0, 101.0)
-        assert sup_quantile(sups, 0.95).q_hat == 95.0
-        assert sup_quantile(sups, 0.951).q_hat == 96.0
+        assert sup_quantile(sups, 0.95) == 95.0
+        assert sup_quantile(sups, 0.951) == 96.0
         # 0.55·100 and 0.07·100 are 55.00000000000001 and 7.000000000000001
         # in floating point; the rule reads the whole numbers 55 and 7.
-        assert sup_quantile(sups, 0.55).q_hat == 55.0
-        assert sup_quantile(sups, 0.07).q_hat == 7.0
-        assert sup_quantile(sups, 0.95).mc_draws == 100
+        assert sup_quantile(sups, 0.55) == 55.0
+        assert sup_quantile(sups, 0.07) == 7.0
         with pytest.raises(ValueError):
             sup_quantile(sups, 1.0)
 
@@ -488,7 +486,7 @@ def test_reports_are_byte_identical_across_blas_threads():
 def test_band_construction_and_closed_coverage():
     # Coverage uses <=, so a sup exactly at the quantile still covers and
     # a hair above does not.
-    q = (QuantileEstimate(gamma=0.95, q_hat=1.2, mc_draws=1000),)
+    q = (1.2,)
     stats = BandStatistics(sup_ht=1.2, sup_hajek=1.2000001, q_ht=q, q_hajek=q)
     assert stats.covered("HT", 0)
     assert not stats.covered("HAJEK", 0)
@@ -503,7 +501,7 @@ def test_zero_quantile_band_is_degenerate():
     stats = band_pipeline(pop, incl, sample, (0.9,), 1000, RngStream(9))
     for estimator in ("HT", "HAJEK"):
         assert stats.sup(estimator) == 0.0
-        assert stats.quantile(estimator, 0).q_hat == 0.0
+        assert stats.quantile(estimator, 0) == 0.0
         assert stats.covered(estimator, 0)
 
 
@@ -530,7 +528,7 @@ def test_band_pipeline_is_the_band_chain():
         for j, gamma in enumerate(levels):
             q = stats.quantile(estimator, j)
             assert q == sup_quantile(sorted_sups, gamma)
-            assert stats.covered(estimator, j) == (sup <= q.q_hat)
+            assert stats.covered(estimator, j) == (sup <= q)
     assert (stats.sup_ht, stats.sup_hajek) == (stats.sup("HT"), stats.sup("HAJEK"))
     assert stats.q_ht[1] == stats.quantile("HT", 1)
     assert stats.q_hajek[2] == stats.quantile("HAJEK", 2)

@@ -14,13 +14,13 @@ from cpsband import (
     SampleIndicators,
     empirical_cps_distribution,
     enumerate_cps_distribution,
-    enumerate_poisson_distribution,
     exact_design_moments,
     exact_inclusion_orders,
     total_variation,
 )
 
 from conftest import design_params
+from helpers import conditioned_law, poisson_law
 
 
 def test_three_unit_law_by_hand():
@@ -61,11 +61,14 @@ def test_inclusion_orders_match_direct_sums(params):
 
 def test_poisson_enumeration_matches_independence():
     p = np.array([0.3, 0.6, 0.9])
-    d = enumerate_poisson_distribution(p)
-    assert d.indicators.shape == (8, 3)
-    for row, prob in zip(d.indicators, d.probability):
+    indicators, probability = poisson_law(p)
+    assert indicators.shape == (8, 3)
+    for row, prob in zip(indicators, probability):
         want = np.prod(np.where(row == 1, p, 1 - p))
         assert prob == pytest.approx(want, abs=1e-15)
+    # Conditioned on its size, the independent law is the fixed-size one.
+    law = conditioned_law(p, 2)
+    assert total_variation(law, enumerate_cps_distribution(p, 2)) < 1e-15
 
 
 def test_certain_unit_carries_full_mass():
@@ -110,9 +113,7 @@ def test_exact_design_moments_on_known_law():
 def test_distribution_validates_mass_and_size():
     ind = np.array([[1, 0], [0, 1]], dtype=np.int8)
     with pytest.raises(ValueError):
-        DesignDistribution(
-            indicators=ind, probability=np.array([0.7, 0.7]), kind="CPS"
-        )
+        DesignDistribution(indicators=ind, probability=np.array([0.7, 0.7]))
 
 
 def test_sample_indicators_round_trip():

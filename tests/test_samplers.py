@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from cpsband import (
     CanonicalPoissonParams,
-    DesignDistribution,
     RngStream,
     SamplingError,
     SimConfig,
@@ -19,7 +18,6 @@ from cpsband import (
     cps_sample_sequential,
     empirical_cps_distribution,
     enumerate_cps_distribution,
-    enumerate_poisson_distribution,
     exact_inclusion_orders,
     generate_population,
     pips_probabilities,
@@ -29,7 +27,7 @@ from cpsband import (
 )
 
 from conftest import design_params
-from helpers import canonicalize_poisson
+from helpers import canonicalize_poisson, conditioned_law, poisson_law
 
 FIXED = CanonicalPoissonParams(
     p=np.array([0.15, 0.35, 0.55, 0.95]), n=2
@@ -108,17 +106,6 @@ def no_kernel(*args, **kwargs):
     raise AssertionError("a draw must not build a design kernel")
 
 
-def conditioned_law(params):
-    """The size-n law of params by enumerating its Poisson design."""
-    poisson = enumerate_poisson_distribution(params.p)
-    size_n = poisson.indicators.sum(axis=1) == params.n
-    return DesignDistribution(
-        indicators=poisson.indicators[size_n],
-        probability=poisson.probability[size_n] / poisson.probability[size_n].sum(),
-        kind="CPS",
-    )
-
-
 def closed_form_design(kind):
     if kind == "equal":
         # N = 7, n = 3: unit 2 is certain and the six free units share
@@ -146,7 +133,8 @@ def test_closed_form_single_draws_follow_the_conditioned_law(monkeypatch, kind):
     # 15 equally likely samples of "equal", and 0.019 (spread 0.004, at
     # most 0.036 in 2000 multinomial trials) over the 35 of "unequal";
     # 0.05 is over twice either mean.
-    assert total_variation(conditioned_law(params), empirical_cps_distribution(rows)) < 0.05
+    law = conditioned_law(params.p, params.n)
+    assert total_variation(law, empirical_cps_distribution(rows)) < 0.05
 
 
 def test_equal_draw_builds_no_kernel(monkeypatch):
@@ -191,8 +179,8 @@ def test_rejection_budget_error_reports_expected_attempts(monkeypatch):
         cps_sample_sequential(params, RngStream(4))
     reported = int(re.search(r"at most N \+ 1 = (\d+) proposals", str(failure.value))[1])
     assert reported == params.size + 1
-    law = enumerate_poisson_distribution(params.p)
-    acceptance = law.probability[law.indicators.sum(axis=1) == params.n].sum()
+    ind, prob = poisson_law(params.p)
+    acceptance = prob[ind.sum(axis=1) == params.n].sum()
     assert 1.0 / acceptance <= reported
 
 

@@ -14,11 +14,11 @@ A parameter vector fixes its fixed-size law together with n: units
 with p = 1 are always sampled, and the free units (p < 1) share the
 n - #certain open slots as a conditional Poisson design over their
 odds p / (1 - p).  ``CanonicalPoissonParams`` carries that reduction
-once (``free``, ``slots``).  One function, ``_forward_map``, takes the
-free units' parameters and the open slots to their inclusion
-probabilities through ``esp.first_order``, for the forward map and for
-every trial point of its inverse; the sampler reads the certain units
-and the open slots.
+once (``free``, ``slots``).  This module is the one home of that
+design: ``_forward_map`` is its kernel, taking the free units' odds and
+the open slots to their exact inclusion probabilities, for the forward
+map and for every trial point of its inverse; the sampler reads the
+certain units and the open slots.
 
 Plus the weight-truncation constant θ of the large-sample covariance
 formulas, which inference.limit_cov_ht and limit_cov_hajek take.  It
@@ -29,11 +29,9 @@ water-filling solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .esp import first_order
 
 __all__ = [
     "PopulationFrame",
@@ -56,6 +54,22 @@ class CalibrationError(ValueError):
 def _frozen_array(values, dtype=float) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
+    return arr
+
+
+def _design_vector(values, n: int, name: str, noun: str) -> np.ndarray:
+    """``values`` as a frozen 1-d array of N entries in (0, 1] that sum
+    to the sample size n, 1 <= n <= N; ``name`` and ``noun`` word the
+    errors."""
+    arr = _frozen_array(values)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d array")
+    if not 1 <= n <= arr.shape[0]:
+        raise CalibrationError("n must lie in [1, N]")
+    if np.any(arr <= 0) or np.any(arr > 1):
+        raise CalibrationError(f"{noun} must lie in (0, 1]")
+    if abs(float(arr.sum()) - n) > SUM_TOL:
+        raise CalibrationError(f"{noun} must sum to n")
     return arr
 
 
@@ -96,15 +110,8 @@ class InclusionProbabilities:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "pi", _frozen_array(self.pi))
-        if self.pi.ndim != 1:
-            raise ValueError("pi must be a 1-d array")
-        if not 1 <= self.n <= self.pi.shape[0]:
-            raise CalibrationError("n must lie in [1, N]")
-        if np.any(self.pi <= 0) or np.any(self.pi > 1):
-            raise CalibrationError("inclusion probabilities must lie in (0, 1]")
-        if abs(float(self.pi.sum()) - self.n) > SUM_TOL:
-            raise CalibrationError("inclusion probabilities must sum to n")
+        pi = _design_vector(self.pi, self.n, "pi", "inclusion probabilities")
+        object.__setattr__(self, "pi", pi)
 
     @property
     def size(self) -> int:
@@ -123,15 +130,7 @@ class CanonicalPoissonParams:
     n: int
 
     def __post_init__(self):
-        object.__setattr__(self, "p", _frozen_array(self.p))
-        if self.p.ndim != 1:
-            raise ValueError("p must be a 1-d array")
-        if not 1 <= self.n <= self.p.shape[0]:
-            raise CalibrationError("n must lie in [1, N]")
-        if np.any(self.p <= 0) or np.any(self.p > 1):
-            raise CalibrationError("parameters must lie in (0, 1]")
-        if abs(float(self.p.sum()) - self.n) > SUM_TOL:
-            raise CalibrationError("parameters must sum to n")
+        object.__setattr__(self, "p", _design_vector(self.p, self.n, "p", "parameters"))
 
     @property
     def size(self) -> int:
@@ -186,41 +185,100 @@ def pips_probabilities(x: np.ndarray, n: int) -> InclusionProbabilities:
     return InclusionProbabilities(pi=pi, n=n)
 
 
-def _forward_map(p_free: np.ndarray, m: int) -> np.ndarray:
-    """Inclusion probabilities of free units with parameters 0 < p < 1
-    that share m slots: the first order of the conditional Poisson
-    design on their odds p / (1 - p).  It raises ArithmeticError when
-    the symmetric-function ratios leave double precision."""
-    return first_order(p_free / (1.0 - p_free), m)
+def _forward_map(odds: np.ndarray, m: int) -> np.ndarray:
+    """Exact first-order inclusion probabilities of the size-m
+    conditional Poisson design, 0 <= m <= N, on the finite, positive
+    odds o_j = p_j / (1 - p_j) of free units.
+
+    The design is governed by the elementary symmetric polynomials e_r
+    of the odds.  The raw polynomials overflow float64 long before
+    N = 100, and their spread over r outgrows any single scale factor,
+    so they are never formed.  The backward recursion of Chen, Dempster
+    & Liu (1994, Biometrika 81) runs on the ratios
+    R[r, j] = e_{r-1}(o_j..) / e_r(o_j..),
+
+        R[r, j] = (1 + o_j R[r-1, j+1]) / (1 / R[r, j+1] + o_j),
+        R[0, .] = 0,   R[r >= 1, N] = inf,
+
+    which follows from e_r(o_j..) = e_r(o_{j+1}..) + o_j e_{r-1}(o_{j+1}..)
+    and uses only additions, multiplications and divisions of positive
+    numbers.  The same pass yields the conditional inclusion
+    probabilities q[r, j] = o_j / (1 / R[r, j+1] + o_j): the chance that
+    unit j enters when r slots are open for units j..N-1 (Tille 2006,
+    Sampling Algorithms, ch. 5).  A forward pass over the distribution
+    of open slots then gives pi_j = sum_r P(r open at j) q[r, j].  The
+    q table is local to the call, and both loops write into buffers and
+    views made once per call.
+
+    Raises ArithmeticError when the odds spread so far that a ratio
+    leaves double precision; the table then never holds a NaN or a
+    wrong infinity.
+    """
+    n_units = odds.shape[0]
+    # Row j holds q[:, j], so each step writes contiguous memory.
+    table = np.zeros((n_units, m + 1))
+    ratio = np.full(m + 1, np.inf)
+    ratio[0] = 0.0
+    q_open, ratio_open, ratio_less = table[:, 1:], ratio[1:], ratio[:-1]
+    denom, numer = np.empty(m), np.empty(m)
+    # ratio[r] is inf wherever e_r = 0 (r > N - j), and 1 / inf = 0 makes
+    # the forced state r = N - j give q = 1 exactly; no operation on those
+    # entries sets a floating-point flag.  A flag therefore means a finite
+    # ratio overflowed or underflowed to zero.
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise", under="ignore"):
+            for j in range(n_units - 1, -1, -1):
+                o = odds[j]
+                np.add(np.divide(1.0, ratio_open, out=denom), o, out=denom)
+                np.divide(o, denom, out=q_open[j])
+                np.add(np.multiply(o, ratio_less, out=numer), 1.0, out=numer)
+                np.divide(numer, denom, out=ratio_open)
+    except FloatingPointError as exc:
+        raise ArithmeticError(
+            f"symmetric-function ratios left double precision (N = {n_units}, "
+            f"m = {m}, odds in [{odds.min():.3g}, {odds.max():.3g}])"
+        ) from exc
+    # Push the distribution of open slots through the units in order.
+    open_slots = np.zeros(m + 1)
+    open_slots[-1] = 1.0
+    take = np.empty(m + 1)
+    open_less, take_open = open_slots[:-1], take[1:]
+    pi = np.empty(n_units)
+    for j, row in enumerate(table):
+        np.multiply(open_slots, row, out=take)
+        pi[j] = take.sum()
+        open_slots -= take
+        open_less += take_open
+    return np.minimum(pi, 1.0)
 
 
 def cps_inclusion_from_poisson(params: CanonicalPoissonParams) -> InclusionProbabilities:
     """Exact first-order inclusion probabilities of the fixed-size design
     induced by conditioning the independent design on sample size n."""
     pi = np.ones(params.size)
-    pi[params.free] = _forward_map(params.p[params.free], params.slots)
+    p_free = params.p[params.free]
+    pi[params.free] = _forward_map(p_free / (1.0 - p_free), params.slots)
     return InclusionProbabilities(pi=pi, n=params.n)
 
 
 def _renormalize_logodds(logit_p: np.ndarray, n: int) -> np.ndarray:
-    """Shift log-odds by a common constant so the probabilities sum to n.
+    """Shift log-odds z by a common constant so the probabilities sum to
+    n, for 0 < n < N.
 
     A common shift stays inside the odds-equivalence class of the
     fixed-size design, so this is exactly the canonical representative.
+    With L = logit(n / N), every unit is at most n / N at the shift
+    L - max z and at least n / N at L - min z, so those two shifts
+    bracket the root.  Bisection closes the bracket widened by 1 on
+    each side, so that rounding in the sum cannot put the root outside
+    it when the z nearly coincide.
     """
 
     def total(shift: float) -> float:
         return float(_expit(logit_p + shift).sum())
 
-    lo, hi = -1.0, 1.0
-    while total(lo) > n:
-        lo *= 2.0
-        if lo < -1e6:
-            raise CalibrationError("log-odds renormalization failed to bracket")
-    while total(hi) < n:
-        hi *= 2.0
-        if hi > 1e6:
-            raise CalibrationError("log-odds renormalization failed to bracket")
+    target = float(_logit(np.float64(n / logit_p.shape[0])))
+    lo, hi = target - float(logit_p.max()) - 1.0, target - float(logit_p.min()) + 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         # Once lo and hi are adjacent doubles the midpoint rounds onto one
@@ -278,12 +336,12 @@ def _forward_at_trial(logit_p: np.ndarray, m: int) -> np.ndarray | None:
     """The exact forward map at a trial point, or None where it cannot be
     taken: parameters that round to 0 or 1 have no finite positive odds,
     and a long step can spread the odds so far that the symmetric-function
-    ratios leave double precision (``first_order`` raises ArithmeticError)."""
+    ratios leave double precision (``_forward_map`` raises ArithmeticError)."""
     p = _expit(logit_p)
     if not np.all((p > 0.0) & (p < 1.0)):
         return None
     try:
-        return _forward_map(p, m)
+        return _forward_map(p / (1.0 - p), m)
     except ArithmeticError:
         return None
 
@@ -345,7 +403,8 @@ def poisson_from_cps_inclusion(incl: InclusionProbabilities) -> CanonicalPoisson
             start = pi_free
             break
     logit_p = _logit(start)
-    achieved = _forward_map(_expit(logit_p), m)
+    p_start = _expit(logit_p)
+    achieved = _forward_map(p_start / (1.0 - p_start), m)
     evaluations = 1
     step = 1.0
     while True:

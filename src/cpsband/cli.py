@@ -173,6 +173,11 @@ def _read_sample(
     return sample, incl
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+
+
 def _log_resolution(args: argparse.Namespace, **extra: object) -> None:
     detail = " ".join(f"{k}={v}" for k, v in extra.items())
     print(f"resolved: command={args.command} {detail}".rstrip())
@@ -193,6 +198,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     units, pop = _read_population(Path(args.population))
     _log_resolution(
         args, population=args.population, size=args.size, seed=args.seed,
@@ -216,6 +222,7 @@ def _cmd_band(args: argparse.Namespace) -> int:
         raise ValueError(
             f"--quantile-draws must be at least 100, got {args.quantile_draws}"
         )
+    _check_seed(args.seed)
     units, pop = _read_population(Path(args.population))
     sample, incl = _read_sample(Path(args.sample), units, pop.x)
     _log_resolution(
@@ -282,9 +289,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     report = run_experiment(config)
     text, csv_text = format_report(report)
-    out = Path(args.out)
-    _atomic_write_text(out.with_suffix(".txt"), text)
-    _atomic_write_text(out.with_suffix(".csv"), csv_text)
+    _atomic_write_text(Path(f"{args.out}.txt"), text)
+    _atomic_write_text(Path(f"{args.out}.csv"), csv_text)
     sys.stdout.write(text)
     print(f"runtime={report.runtime_seconds:.1f}s")
     return 0
@@ -298,6 +304,7 @@ def _oracle_instance(gen: np.random.Generator) -> tuple[np.ndarray, int]:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     _log_resolution(args, seed=args.seed, instances=args.instances)
     gen = np.random.default_rng(args.seed)
     failures = 0

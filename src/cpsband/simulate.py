@@ -72,9 +72,13 @@ class SimConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed}")
         levels = self.levels
         if isinstance(levels, str) or not isinstance(levels, Sequence):
             raise ValueError(f"levels must be a sequence of numbers, got {levels!r}")
+        if not levels:
+            raise ValueError("levels must hold at least one level, got none")
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
         fraction = self.sampling_fraction

@@ -164,13 +164,13 @@ class TestPoissonFixedSizeMaps:
 
 def _count_forward_maps(monkeypatch) -> list[int]:
     calls = [0]
-    first_order = calibration.first_order
+    forward_map = calibration._forward_map
 
     def counting(odds, m):
         calls[0] += 1
-        return first_order(odds, m)
+        return forward_map(odds, m)
 
-    monkeypatch.setattr(calibration, "first_order", counting)
+    monkeypatch.setattr(calibration, "_forward_map", counting)
     return calls
 
 
@@ -288,11 +288,16 @@ def _renormalize_full_bisection(logit_p: np.ndarray, n: int) -> np.ndarray:
 
 
 def test_renormalization_early_exit_is_bit_identical():
+    # Every third vector is constant but for one ulp: there the closed-form
+    # bracket is one point up to rounding, which can put the root outside.
     rng = np.random.default_rng(2024)
-    for _ in range(300):
+    for i in range(450):
         n_units = int(rng.integers(2, 500))
         n = int(rng.integers(1, n_units))
         logit_p = rng.normal(rng.normal(0.0, 3.0), rng.uniform(0.1, 4.0), n_units)
+        if i % 3 == 2:
+            logit_p[1:] = logit_p[0]
+            logit_p[0] = np.nextafter(logit_p[0], np.inf)
         assert np.array_equal(
             calibration._renormalize_logodds(logit_p, n),
             _renormalize_full_bisection(logit_p, n),
@@ -365,7 +370,7 @@ EQUAL = CanonicalPoissonParams(p=np.array([0.4, 1.0, 0.4, 0.4, 0.4, 0.4]), n=3)
     ids=["forward-map", "batch-draw", "unequal-draw", "equal-draw"],
 )
 def test_each_caller_builds_the_kernel_once(monkeypatch, call, builds):
-    # Every forward map builds its kernel in calibration.first_order, so
+    # Every forward map builds its kernel in calibration._forward_map, so
     # counting its calls counts kernels.
     calls = _count_forward_maps(monkeypatch)
     call()

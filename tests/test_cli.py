@@ -116,6 +116,18 @@ def test_simulate_writes_text_and_csv(tmp_path, capsys):
     assert "runtime=" in stdout
 
 
+def test_simulate_out_prefix_keeps_its_dots(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "population_size": 40, "sampling_fraction": 0.2, "replications": 2,
+        "quantile_draws": 200,
+    }))
+    assert main([
+        "simulate", "--config", str(config_path), "--out", str(tmp_path / "run.v2"),
+    ]) == 0
+    assert sorted(path.name for path in tmp_path.glob("run*")) == ["run.v2.csv", "run.v2.txt"]
+
+
 def test_simulate_threads_flag_overrides_config(tmp_path, capsys):
     config = {
         "population_size": 40,
@@ -144,6 +156,8 @@ def test_simulate_threads_flag_overrides_config(tmp_path, capsys):
     "override, extra, named",
     [
         ({"levels": 0.9}, [], "levels must be a sequence"),
+        ({"levels": []}, [], "levels must hold at least one level"),
+        ({}, ["--seed", "-3"], "master_seed must be non-negative, got -3"),
         ({"quantile_draws": "100"}, [], "quantile_draws must be an integer"),
         ({"threads": 1.0}, [], "threads must be an integer"),
         ([1, 2], [], "config.json: expected a JSON object"),
@@ -159,8 +173,9 @@ def test_simulate_threads_flag_overrides_config(tmp_path, capsys):
         ),
     ],
     ids=[
-        "levels", "quantile-draws", "threads-config", "list-config",
-        "list-config-seed", "malformed-json", "unknown-field", "missing-field",
+        "levels", "empty-levels", "negative-seed", "quantile-draws", "threads-config",
+        "list-config", "list-config-seed", "malformed-json", "unknown-field",
+        "missing-field",
     ],
 )
 def test_simulate_names_a_bad_input(tmp_path, capsys, override, extra, named):
@@ -416,7 +431,7 @@ def test_band_rejects_nonpositive_size(tmp_path, capsys, value):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--gamma", "0"), ("--gamma", "1.5"), ("--quantile-draws", "50")],
+    [("--gamma", "0"), ("--gamma", "1.5"), ("--quantile-draws", "50"), ("--seed", "-1")],
 )
 def test_band_checks_flags_before_reading_files(tmp_path, capsys, flag, value):
     # The population path does not exist, so only a check made before
@@ -430,6 +445,23 @@ def test_band_checks_flags_before_reading_files(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert code == 1 and not out.exists()
     assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+
+
+def test_sample_checks_its_seed_before_reading_files(tmp_path, capsys):
+    out = tmp_path / "sample.csv"
+    code = main([
+        "sample", "--population", str(tmp_path / "missing.csv"),
+        "--size", "3", "--seed", "-1", "--out", str(out),
+    ])
+    assert code == 1 and not out.exists()
+    assert capsys.readouterr().err == "error: --seed must be non-negative, got -1\n"
+
+
+def test_oracle_check_rejects_a_negative_seed(capsys):
+    assert main(["oracle-check", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert "resolved:" not in captured.out
+    assert captured.err == "error: --seed must be non-negative, got -1\n"
 
 
 def test_band_rejects_a_sample_drawn_under_another_design(population_csv, tmp_path, capsys):

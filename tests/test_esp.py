@@ -1,4 +1,5 @@
-"""First-order inclusion probabilities against exact rational enumeration."""
+"""The conditional Poisson kernel, ``calibration._forward_map``: first-order
+inclusion probabilities against exact rational enumeration."""
 
 from __future__ import annotations
 
@@ -6,8 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cpsband.calibration import _expit, _logit
-from cpsband.esp import first_order
+from cpsband.calibration import _expit, _forward_map, _logit
 
 from helpers import esp_exact, reference_first_order
 
@@ -24,7 +24,7 @@ def odds_and_slots(draw, odds_strategy=int_odds):
 @given(odds_and_slots())
 def test_first_order_matches_fractions(case):
     odds, m = case
-    pi = first_order(np.array(odds, dtype=float), m)
+    pi = _forward_map(np.array(odds, dtype=float), m)
     e_m = esp_exact(odds, m)
     for j, o in enumerate(odds):
         want = o * esp_exact(odds[:j] + odds[j + 1 :], m - 1) / e_m if m else 0
@@ -38,9 +38,9 @@ def test_include_probability_forced_and_spent_states(case):
     # sums to m.
     odds, m = case
     odds = np.array(odds)
-    assert np.all(first_order(odds, 0) == 0.0)
-    assert np.all(first_order(odds, len(odds)) == 1.0)
-    pi = first_order(odds, m)
+    assert np.all(_forward_map(odds, 0) == 0.0)
+    assert np.all(_forward_map(odds, len(odds)) == 1.0)
+    pi = _forward_map(odds, m)
     assert np.all((pi >= 0.0) & (pi <= 1.0))
     assert pi.sum() == pytest.approx(m, abs=1e-12)
 
@@ -50,7 +50,7 @@ def test_equal_odds_closed_form(odds):
     # e_0..e_200 of 400 units with odds 1e6 span ~2**4200, more than one
     # floating-point scale can hold; the ratios stay of order one.
     n_units, m = 400, 200
-    pi = first_order(np.full(n_units, odds), m)
+    pi = _forward_map(np.full(n_units, odds), m)
     np.testing.assert_allclose(pi, m / n_units, rtol=1e-12)
 
 
@@ -58,7 +58,7 @@ def test_extreme_odds_mix_raises_arithmetic_error():
     # The products o_j R[r-1, j+1] reach 1e200 * 5e199 and overflow.
     odds = np.array([1e200, 1e200, 1e-200, 1e-200])
     with pytest.raises(ArithmeticError):
-        first_order(odds, 2)
+        _forward_map(odds, 2)
 
 
 def test_newton_start_reaches_the_kernel_inside_the_unit_interval():
@@ -95,7 +95,7 @@ def test_kernel_matches_the_allocating_reference_bit_for_bit():
         designs.append((rng.lognormal(0.0, 1.0, n_units), n_units // 10))
     raised = 0
     for odds, m in designs:
-        got = _first_order_or_error(first_order, odds, m)
+        got = _first_order_or_error(_forward_map, odds, m)
         want = _first_order_or_error(reference_first_order, odds, m)
         if isinstance(want, str):
             raised += 1

@@ -121,7 +121,7 @@ def closed_form_design(kind):
 
 @pytest.mark.parametrize("kind", ["equal", "unequal"])
 def test_closed_form_single_draws_follow_the_conditioned_law(monkeypatch, kind):
-    monkeypatch.setattr(calibration, "first_order", no_kernel)
+    monkeypatch.setattr(calibration, "_forward_map", no_kernel)
     params, certain = closed_form_design(kind)
     draws = 20_000
     rng = RngStream(4040)
@@ -138,7 +138,7 @@ def test_closed_form_single_draws_follow_the_conditioned_law(monkeypatch, kind):
 
 
 def test_equal_draw_builds_no_kernel(monkeypatch):
-    monkeypatch.setattr(calibration, "first_order", no_kernel)
+    monkeypatch.setattr(calibration, "_forward_map", no_kernel)
     # At N = 1e4, n = 5000 the kernel's table alone would take 400 MB.
     params = CanonicalPoissonParams(p=np.full(10_000, 0.5), n=5_000)
     sample = cps_sample_sequential(params, RngStream(1))
@@ -187,7 +187,7 @@ def test_rejection_budget_error_reports_expected_attempts(monkeypatch):
 def test_budget_error_builds_no_kernel(monkeypatch):
     # An unequal design at N = 1e5, n = 1e4, where the kernel's table
     # would take 8 GB: the budget error states a constant bound instead.
-    monkeypatch.setattr(calibration, "first_order", no_kernel)
+    monkeypatch.setattr(calibration, "_forward_map", no_kernel)
     monkeypatch.setattr(samplers, "_ATTEMPTS_PER_SIZE", 0)
     p = np.random.default_rng(1).lognormal(0.0, 1.0, 100_000)
     params = canonicalize_poisson(p / (2.0 * p.max()), 10_000)

@@ -116,18 +116,21 @@ def test_single_cell_report_round_trips_through_csv():
         assert float(row["max_width"]) == pytest.approx(cell.max_width, abs=1e-6)
 
 
-def test_empty_levels_yield_header_only_report():
-    config = SimConfig(
-        population_size=40,
-        sampling_fraction=0.2,
-        replications=1,
-        levels=(),
-        quantile_draws=300,
-        master_seed=0,
-    )
-    text, csv_text = format_report(run_experiment(config))
-    assert text.count("\n") == 2
-    assert csv_text.count("\n") == 1
+def test_empty_levels_are_rejected():
+    # With no level a run would spend every replication on a report
+    # that holds only its header.
+    for levels in ((), []):
+        with pytest.raises(ValueError, match="levels must hold at least one level"):
+            SimConfig(
+                population_size=40, sampling_fraction=0.2, replications=1, levels=levels
+            )
+
+
+def test_negative_master_seed_is_rejected_at_construction():
+    with pytest.raises(ValueError, match="master_seed must be non-negative, got -3"):
+        SimConfig(
+            population_size=40, sampling_fraction=0.2, replications=1, master_seed=-3
+        )
 
 
 def test_runtime_excluded_from_comparisons():

@@ -1,5 +1,6 @@
-"""The public surface: every exported name resolves, and so does every
-name the README's package bullets cite."""
+"""The public surface: every exported name resolves, so does every name
+the README's package bullets cite, and the README's layout lists the
+package's modules."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import re
 from pathlib import Path
 
 import cpsband
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -29,7 +32,7 @@ def test_readme_package_bullets_name_real_objects():
     # The bullets between the pipeline line and "## Install"; a
     # backticked identifier longer than one letter that is no builtin
     # is a package name, and a dotted one names cpsband.<module>.<attr>.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     start = readme.index("The package covers the full pipeline:")
     bullets = readme[start:readme.index("## Install", start)]
     names = [
@@ -44,3 +47,13 @@ def test_readme_package_bullets_name_real_objects():
         if not hasattr(owner, attr):
             unresolved.append(name)
     assert not unresolved
+
+
+def test_readme_layout_lists_every_module():
+    readme = (ROOT / "README.md").read_text()
+    # The indented file names between "src/cpsband/" and the block's end.
+    start = readme.index("src/cpsband/", readme.index("## Layout"))
+    block = readme[start:readme.index("```", start)]
+    listed = re.findall(r"^  (\w+\.py) ", block, flags=re.MULTILINE)
+    shipped = [path.name for path in (ROOT / "src" / "cpsband").glob("*.py")]
+    assert sorted(listed) == sorted(name for name in shipped if name != "__init__.py")

@@ -28,7 +28,7 @@ from .oracle import (
     exact_inclusion_orders,
     total_variation,
 )
-from .processes import hajek_evaluate, htep_evaluate
+from .processes import empirical_processes
 from .samplers import (
     RngStream,
     SampleIndicators,
@@ -67,13 +67,12 @@ __all__ = [
     "cps_sample_rejection_batch",
     "cps_sample_sequential",
     "empirical_cps_distribution",
+    "empirical_processes",
     "enumerate_cps_distribution",
     "exact_design_moments",
     "exact_inclusion_orders",
     "format_report",
     "generate_population",
-    "hajek_evaluate",
-    "htep_evaluate",
     "limit_cov_hajek",
     "limit_cov_ht",
     "pips_probabilities",

@@ -2,7 +2,8 @@
 
 All file outputs are written atomically (temp file in the target
 directory, then rename) as UTF-8 with LF line endings, so reruns with
-identical inputs and seed produce identical bytes.  The worker count
+identical inputs and seed produce identical bytes.  Input files are
+read as UTF-8 with an optional byte-order mark.  The worker count
 of ``simulate`` is the config's ``threads``, which --threads overrides.
 """
 
@@ -115,7 +116,7 @@ def _number(path: Path, reader, unit: str, name: str, text: str) -> float:
 
 
 def _read_population(path: Path) -> tuple[list[str], PopulationFrame]:
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != ["unit", "y", "x"]:
@@ -136,7 +137,7 @@ def _read_sample(
     """The sample indicators in population order and the design's pi,
     pips on x at the drawn size.  A ``pi`` column, as ``sample`` writes
     it, must match that pi within 1e-9."""
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, [])
         if "unit" not in header or "s" not in header:
@@ -261,7 +262,7 @@ def _cmd_band(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    with open(args.config, encoding="utf-8") as handle:
+    with open(args.config, encoding="utf-8-sig") as handle:
         try:
             raw = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -304,6 +305,8 @@ def _oracle_instance(gen: np.random.Generator) -> tuple[np.ndarray, int]:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    if args.instances < 1:
+        raise ValueError(f"--instances must be at least 1, got {args.instances}")
     _check_seed(args.seed)
     _log_resolution(args, seed=args.seed, instances=args.instances)
     gen = np.random.default_rng(args.seed)

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .calibration import InclusionProbabilities, PopulationFrame
-from .processes import hajek_evaluate, htep_evaluate, tie_groups
+from .processes import empirical_processes, tie_groups
 from .samplers import RngStream, SampleIndicators
 
 __all__ = [
@@ -286,8 +286,7 @@ def band_pipeline(
     """Both processes' exact sup statistics over the real line, and
     their sup quantiles at every level from one set of B' Gaussian paths
     drawn from ``stream`` on the sampled thresholds."""
-    _, ht = htep_evaluate(population, incl, sample)
-    _, hajek = hajek_evaluate(population, incl, sample)
+    _, ht, hajek = empirical_processes(population, incl, sample)
     sup_ht, sup_hajek = (float(np.abs(v).max(initial=0.0)) for v in (ht, hajek))
     if not (math.isfinite(sup_ht) and math.isfinite(sup_hajek)):
         raise ValueError("sup statistic is not finite")

@@ -3,9 +3,11 @@
 Every path built from the class I(y <= t) is a right-continuous step in
 t that is 0 below the smallest y and jumps only at the y, so its values
 at the distinct y determine it, and the largest of their absolute values
-(or 0) is its exact sup over the real line.  ``step_values`` reads such
-a path from y and per-unit weights; the Gaussian paths of ``inference``
-take its sort order and tie-group ends from ``tie_groups``.
+(or 0) is its exact sup over the real line.  ``empirical_processes``
+reads the HT and Hájek processes from one sort of the population y,
+``step_values`` reads any such path from y and per-unit weights, and the
+Gaussian paths of ``inference`` take their sort order and tie-group ends
+from ``tie_groups``.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from .calibration import InclusionProbabilities, PopulationFrame
 from .samplers import SampleIndicators
 
 __all__ = [
-    "hajek_evaluate",
-    "htep_evaluate",
+    "empirical_processes",
     "step_values",
     "tie_groups",
 ]
@@ -42,50 +43,28 @@ def step_values(y: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndar
     return y[order[last]], np.cumsum(weights[order])[last]
 
 
-def _check_lengths(
-    pop: PopulationFrame, pi: InclusionProbabilities, s: SampleIndicators
-) -> None:
+def empirical_processes(
+    pop: PopulationFrame,
+    pi: InclusionProbabilities,
+    s: SampleIndicators,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct population y t in increasing order, and the
+    Horvitz-Thompson and Hájek empirical processes at each of them.
+
+    Both are N^{-1/2} Σ_i (c S_i/π_i − 1) I(y_i <= t): c = 1 gives the HT
+    process, and c = N/N̂ with N̂ = Σ S_i/π_i gives the Hájek one,
+    √N (N̂^{-1} Σ (S_i/π_i) I(y_i <= t) − N^{-1} Σ I(y_i <= t)).  The two
+    share one sort of y."""
     if not pop.size == pi.pi.shape[0] == s.s.shape[0]:
         raise ValueError("population, probabilities, and sample lengths differ")
-
-
-def _weighted_process(
-    pop: PopulationFrame,
-    pi: InclusionProbabilities,
-    s: SampleIndicators,
-    c: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """N^{-1/2} Σ_i (c S_i/π_i − 1) I(y_i <= t) at the distinct population
-    y t in increasing order."""
-    weights = c * (s.s / pi.pi) - 1.0
-    scale = 1.0 / math.sqrt(pop.size)
-    t, counts = step_values(pop.y, weights)
-    return t, scale * counts
-
-
-def htep_evaluate(
-    pop: PopulationFrame,
-    pi: InclusionProbabilities,
-    s: SampleIndicators,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Horvitz-Thompson empirical process
-    N^{-1/2} Σ_i (S_i/π_i − 1) I(y_i <= t), as the distinct population y t
-    in increasing order and the process at each."""
-    _check_lengths(pop, pi, s)
-    return _weighted_process(pop, pi, s, 1.0)
-
-
-def hajek_evaluate(
-    pop: PopulationFrame,
-    pi: InclusionProbabilities,
-    s: SampleIndicators,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hájek empirical process, the HT estimator of the CDF recentered by
-    the estimated population size N̂ = Σ S_i/π_i:
-    √N (N̂^{-1} Σ (S_i/π_i) I(y_i <= t) − N^{-1} Σ I(y_i <= t)), as the
-    distinct population y t in increasing order and the process at each."""
-    _check_lengths(pop, pi, s)
-    n_hat = float((s.s / pi.pi).sum())
+    r = s.s / pi.pi
+    n_hat = float(r.sum())
     if n_hat == 0.0:
         raise ValueError("estimated population size is zero (empty sample)")
-    return _weighted_process(pop, pi, s, pop.size / n_hat)
+    order, last = tie_groups(pop.y)
+    scale = 1.0 / math.sqrt(pop.size)
+    ht, hajek = (
+        scale * np.cumsum((c * r - 1.0)[order])[last]
+        for c in (1.0, pop.size / n_hat)
+    )
+    return pop.y[order[last]], ht, hajek

@@ -464,6 +464,45 @@ def test_oracle_check_rejects_a_negative_seed(capsys):
     assert captured.err == "error: --seed must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_oracle_check_rejects_fewer_than_one_instance(capsys, value):
+    # Rejected before any check runs, so nothing reaches stdout.
+    assert main(["oracle-check", "--instances", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --instances must be at least 1, got {value}\n"
+
+
+@pytest.mark.parametrize("target", ["population", "sample", "config"])
+def test_inputs_may_start_with_a_byte_order_mark(population_csv, tmp_path, capsys, target):
+    # An input with a leading UTF-8 byte-order mark gives the same output
+    # bytes as without it, and no output starts with one.
+    sample, config = tmp_path / "sample.csv", tmp_path / "config.json"
+    assert main([
+        "sample", "--population", str(population_csv), "--size", "8",
+        "--seed", "1", "--out", str(sample),
+    ]) == 0
+    config.write_text(json.dumps({
+        "population_size": 40, "sampling_fraction": 0.2, "replications": 2,
+        "quantile_draws": 200,
+    }))
+    out = tmp_path / "out"
+    if target == "config":
+        command = ["simulate", "--config", str(config), "--out", str(out)]
+    else:
+        command = [
+            "band", "--population", str(population_csv), "--sample", str(sample),
+            "--quantile-draws", "100", "--out", f"{out}.csv",
+        ]
+    assert main(command) == 0
+    plain = (tmp_path / "out.csv").read_bytes()
+    path = {"population": population_csv, "sample": sample, "config": config}[target]
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(command) == 0
+    assert (tmp_path / "out.csv").read_bytes() == plain
+    assert not plain.startswith(b"\xef\xbb\xbf")
+
+
 def test_band_rejects_a_sample_drawn_under_another_design(population_csv, tmp_path, capsys):
     # The sample file states each unit's pi under the population it was
     # drawn from; against a population whose unit 5 is three times

@@ -23,12 +23,11 @@ from cpsband import (
     band_pipeline,
     cps_sample_rejection_batch,
     cps_sample_sequential,
+    empirical_processes,
     enumerate_cps_distribution,
     exact_design_moments,
     exact_inclusion_orders,
     generate_population,
-    hajek_evaluate,
-    htep_evaluate,
     limit_cov_hajek,
     limit_cov_ht,
     pips_probabilities,
@@ -81,7 +80,7 @@ class TestCovarianceEstimators:
 
         def g_at(s_row):
             s = SampleIndicators.from_array(s_row)
-            t, values = htep_evaluate(pop, incl, s)
+            t, values, _ = empirical_processes(pop, incl, s)
             assert t[k] == 0.8
             return float(values[k])
 
@@ -519,10 +518,10 @@ def test_band_pipeline_is_the_band_chain():
         pop.y[sampled], incl.pi[sampled], float((incl.pi * (1 - incl.pi)).sum()),
         pop.size, 300, RngStream(23),
     )
-    for estimator, evaluate, sorted_sups in (
-        ("HT", htep_evaluate, sups[0]), ("HAJEK", hajek_evaluate, sups[1])
+    _, ht, hajek = empirical_processes(pop, incl, sample)
+    for estimator, values, sorted_sups in (
+        ("HT", ht, sups[0]), ("HAJEK", hajek, sups[1])
     ):
-        _, values = evaluate(pop, incl, sample)
         sup = float(np.abs(values).max())
         assert stats.sup(estimator) == sup
         for j, gamma in enumerate(levels):

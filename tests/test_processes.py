@@ -13,10 +13,13 @@ from cpsband import (
     SampleIndicators,
     band_pipeline,
     cps_sample_sequential,
-    hajek_evaluate,
-    htep_evaluate,
+    empirical_processes,
+    generate_population,
+    pips_probabilities,
+    poisson_from_cps_inclusion,
 )
-from cpsband.processes import step_values
+from cpsband import inference, processes
+from cpsband.processes import step_values, tie_groups
 from cpsband.samplers import RngStream
 
 from conftest import design_with_population
@@ -49,7 +52,7 @@ def sups(pop, incl, s):
 def test_htep_matches_brute_force(args, seed):
     pop, params, incl = args
     s = draw_sample(params, seed)
-    t, values = htep_evaluate(pop, incl, s)
+    t, values, _ = empirical_processes(pop, incl, s)
     np.testing.assert_array_equal(t, np.unique(pop.y))
     np.testing.assert_allclose(
         values, brute_processes(pop, incl, s, t)[0], atol=1e-12
@@ -61,11 +64,29 @@ def test_htep_matches_brute_force(args, seed):
 def test_hajek_matches_brute_force(args, seed):
     pop, params, incl = args
     s = draw_sample(params, seed)
-    t, values = hajek_evaluate(pop, incl, s)
+    t, _, values = empirical_processes(pop, incl, s)
     np.testing.assert_array_equal(t, np.unique(pop.y))
     np.testing.assert_allclose(
         values, brute_processes(pop, incl, s, t)[1], atol=1e-12
     )
+
+
+def test_band_pipeline_sorts_the_population_once(monkeypatch):
+    # Both processes come from one sort of the N population y; the
+    # Gaussian paths sort only the n sampled y.
+    pop = generate_population(200, RngStream(4))
+    incl = pips_probabilities(pop.x, 20)
+    s = draw_sample(poisson_from_cps_inclusion(incl), 5)
+    lengths = []
+
+    def counted(y):
+        lengths.append(y.shape[0])
+        return tie_groups(y)
+
+    monkeypatch.setattr(processes, "tie_groups", counted)
+    monkeypatch.setattr(inference, "tie_groups", counted)
+    band_pipeline(pop, incl, s, (0.9,), 100, RngStream(6))
+    assert sorted(lengths) == [s.count, pop.size]
 
 
 @given(design_with_population(), st.integers(0, 1000))
@@ -89,7 +110,7 @@ def test_left_limits_capture_pre_jump_extreme():
     pop = PopulationFrame(y=np.array([0.0, 1.0]), x=np.ones(2))
     incl = InclusionProbabilities(pi=np.array([0.2, 0.8]), n=1)
     s = SampleIndicators.from_array(np.array([0, 1]))
-    _, values = htep_evaluate(pop, incl, s)
+    _, values, _ = empirical_processes(pop, incl, s)
     # value at t=0 is -1/sqrt(2); left of t=1 it is still -1/sqrt(2),
     # the value at the previous jump, and at t=1 it jumps to
     # (1/0.8 - 1 - 1)/sqrt(2).

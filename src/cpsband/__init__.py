@@ -28,7 +28,7 @@ from .oracle import (
     exact_inclusion_orders,
     total_variation,
 )
-from .processes import empirical_processes
+from .processes import cdf_estimates
 from .samplers import (
     RngStream,
     SampleIndicators,
@@ -63,11 +63,11 @@ __all__ = [
     "SamplingError",
     "SimConfig",
     "band_pipeline",
+    "cdf_estimates",
     "cps_inclusion_from_poisson",
     "cps_sample_rejection_batch",
     "cps_sample_sequential",
     "empirical_cps_distribution",
-    "empirical_processes",
     "enumerate_cps_distribution",
     "exact_design_moments",
     "exact_inclusion_orders",

@@ -2,9 +2,12 @@
 
 All file outputs are written atomically (temp file in the target
 directory, then rename) as UTF-8 with LF line endings, so reruns with
-identical inputs and seed produce identical bytes.  Input files are
-read as UTF-8 with an optional byte-order mark.  The worker count
-of ``simulate`` is the config's ``threads``, which --threads overrides.
+identical inputs and seed produce identical bytes; an output that
+cannot be written is named, and no temp file is left.  Input files are
+read as UTF-8 with an optional byte-order mark.  ``band`` writes the
+estimated CDF that ``band_pipeline`` returns as its center.  The worker
+count of ``simulate`` is the config's ``threads``, which --threads
+overrides.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .oracle import (
     exact_inclusion_orders,
     total_variation,
 )
-from .processes import step_values
 from .samplers import (
     RngStream,
     SampleIndicators,
@@ -52,18 +54,15 @@ __all__ = ["main"]
 def _atomic_write_text(path: Path, text: str) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc.strerror}") from None
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 def _csv_text(header: list[str], rows: list[list[object]]) -> str:
@@ -184,11 +183,19 @@ def _log_resolution(args: argparse.Namespace, **extra: object) -> None:
     print(f"resolved: command={args.command} {detail}".rstrip())
 
 
-def _cmd_calibrate(args: argparse.Namespace) -> int:
+def _calibrated_design(args: argparse.Namespace, **extra: object):
+    """The population units and frame, with pips π at --size checked
+    against N, and the conditional Poisson parameters that give that π."""
     units, pop = _read_population(Path(args.population))
-    _log_resolution(args, population=args.population, size=args.size)
+    if not 1 <= args.size <= pop.size:
+        raise ValueError(f"--size must lie in [1, {pop.size}], got {args.size}")
+    _log_resolution(args, population=args.population, size=args.size, **extra)
     incl = pips_probabilities(pop.x, args.size)
-    params = poisson_from_cps_inclusion(incl)
+    return units, pop, incl, poisson_from_cps_inclusion(incl)
+
+
+def _cmd_calibrate(args: argparse.Namespace) -> int:
+    units, pop, incl, params = _calibrated_design(args)
     rows = [
         [unit, _fmt(x), _fmt(prob), _fmt(p)]
         for unit, x, prob, p in zip(units, pop.x, incl.pi, params.p)
@@ -200,12 +207,7 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
-    units, pop = _read_population(Path(args.population))
-    _log_resolution(
-        args, population=args.population, size=args.size, seed=args.seed,
-    )
-    incl = pips_probabilities(pop.x, args.size)
-    params = poisson_from_cps_inclusion(incl)
+    units, pop, incl, params = _calibrated_design(args, seed=args.seed)
     sample = cps_sample_sequential(params, RngStream(args.seed))
     rows = [
         [unit, _fmt(x), _fmt(prob), int(ind)]
@@ -236,14 +238,12 @@ def _cmd_band(args: argparse.Namespace) -> int:
             f"{args.sample}: unit {units[left_out[0]]!r} has s = 0 "
             "but inclusion probability 1"
         )
-    stats = band_pipeline(
+    stats, thresholds, centers = band_pipeline(
         pop, incl, sample, (args.gamma,), args.quantile_draws, RngStream(args.seed)
     )
     estimator = args.estimator.upper()
     q_hat = stats.quantile(estimator, 0)
-    weights = sample.s / incl.pi
-    weights = weights / (weights.sum() if estimator == "HAJEK" else pop.size)
-    thresholds, center = step_values(pop.y, weights)
+    center = centers[estimator]
     halfwidth = q_hat / math.sqrt(pop.size)
     lower = np.clip(center - halfwidth, 0.0, 1.0)
     upper = np.clip(center + halfwidth, 0.0, 1.0)

@@ -1,7 +1,8 @@
 """Limit covariances, sup-norm quantiles, and confidence bands.
 
 ``band_pipeline`` is the one band chain that the coverage experiment
-and the ``band`` command share: sup statistics of both processes, one
+and the ``band`` command share: the sup statistics √N·max|F̂ − F_N| of
+both processes from the CDFs of ``processes.cdf_estimates``, one
 Gaussian draw, sup quantiles and the coverage rule.  Every path is a
 step function read at its jumps (see ``processes``), so each sup is the
 largest absolute value there.  The plug-in
@@ -11,8 +12,9 @@ draws its Gaussian paths as ξA, with no covariance to form or
 factorize.  It draws ξ in blocks of rows that fit in cache and keeps
 only each path's sup, so the draw takes O(B'·n) time and
 O(block·n + B') memory.  The simulated sup quantile gives a
-uniform band of half-width q_hat / sqrt(N) around the estimated CDF,
-which ``cpsband band`` writes out clipped to [0, 1].
+uniform band of half-width q_hat / sqrt(N) around the estimated CDF
+that the pipeline hands back, which ``cpsband band`` writes out
+clipped to [0, 1]; the coverage experiment keeps only the statistics.
 Both process variants share one set of Gaussian draws, which keeps
 their quantiles comparable replication by replication.  The n×n
 plug-in estimates that AᵀA is tested against live in tests/helpers.py;
@@ -29,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .calibration import InclusionProbabilities, PopulationFrame
-from .processes import empirical_processes, tie_groups
+from .processes import cdf_estimates, tie_groups
 from .samplers import RngStream, SampleIndicators
 
 __all__ = [
@@ -282,12 +284,17 @@ def band_pipeline(
     levels: tuple[float, ...],
     b_prime: int,
     stream: RngStream,
-) -> BandStatistics:
-    """Both processes' exact sup statistics over the real line, and
-    their sup quantiles at every level from one set of B' Gaussian paths
-    drawn from ``stream`` on the sampled thresholds."""
-    _, ht, hajek = empirical_processes(population, incl, sample)
-    sup_ht, sup_hajek = (float(np.abs(v).max(initial=0.0)) for v in (ht, hajek))
+) -> tuple[BandStatistics, np.ndarray, dict[str, np.ndarray]]:
+    """Both processes' exact sup statistics √N·max|F̂ − F_N| over the real
+    line, and their sup quantiles at every level from one set of B'
+    Gaussian paths drawn from ``stream`` on the sampled thresholds; with
+    them the distinct population y and the "HT" and "HAJEK" estimated
+    CDFs there, the centers of the bands."""
+    t, cdf, cdf_ht, cdf_hajek = cdf_estimates(population, incl, sample)
+    sup_ht, sup_hajek = (
+        math.sqrt(population.size) * float(np.abs(f_hat - cdf).max(initial=0.0))
+        for f_hat in (cdf_ht, cdf_hajek)
+    )
     if not (math.isfinite(sup_ht) and math.isfinite(sup_hajek)):
         raise ValueError("sup statistic is not finite")
     sampled = sample.s == 1
@@ -299,9 +306,10 @@ def band_pipeline(
         b_prime,
         stream,
     )
-    return BandStatistics(
+    stats = BandStatistics(
         sup_ht=sup_ht,
         sup_hajek=sup_hajek,
         q_ht=tuple(sup_quantile(sups_ht, g) for g in levels),
         q_hajek=tuple(sup_quantile(sups_hajek, g) for g in levels),
     )
+    return stats, t, {"HT": cdf_ht, "HAJEK": cdf_hajek}

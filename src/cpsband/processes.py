@@ -1,18 +1,16 @@
-"""Design-based empirical processes over the CDF indicator class.
+"""Design-based CDF estimates over the indicator class I(y <= t).
 
-Every path built from the class I(y <= t) is a right-continuous step in
-t that is 0 below the smallest y and jumps only at the y, so its values
-at the distinct y determine it, and the largest of their absolute values
-(or 0) is its exact sup over the real line.  ``empirical_processes``
-reads the HT and Hájek processes from one sort of the population y,
-``step_values`` reads any such path from y and per-unit weights, and the
-Gaussian paths of ``inference`` take their sort order and tie-group ends
-from ``tie_groups``.
+Every CDF built from the class is a right-continuous step in t that is 0
+below the smallest y and jumps only at the y, so its values at the
+distinct y determine it, and the largest absolute difference of two of
+them there (or 0) is their exact sup distance over the real line.
+``cdf_estimates`` reads the population CDF F_N and its Horvitz-Thompson
+and Hájek estimates from one sort of the population y; the empirical
+processes are √N (F̂ − F_N).  The Gaussian paths of ``inference`` take
+their sort order and tie-group ends from ``tie_groups``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -20,8 +18,7 @@ from .calibration import InclusionProbabilities, PopulationFrame
 from .samplers import SampleIndicators
 
 __all__ = [
-    "empirical_processes",
-    "step_values",
+    "cdf_estimates",
     "tie_groups",
 ]
 
@@ -36,25 +33,16 @@ def tie_groups(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, np.flatnonzero(ends)
 
 
-def step_values(y: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct y in increasing order, and Σ_i w_i I(y_i <= t) at each
-    of them: the cumulative weight at the last unit of each tie group."""
-    order, last = tie_groups(y)
-    return y[order[last]], np.cumsum(weights[order])[last]
-
-
-def empirical_processes(
+def cdf_estimates(
     pop: PopulationFrame,
     pi: InclusionProbabilities,
     s: SampleIndicators,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct population y t in increasing order, and the
-    Horvitz-Thompson and Hájek empirical processes at each of them.
-
-    Both are N^{-1/2} Σ_i (c S_i/π_i − 1) I(y_i <= t): c = 1 gives the HT
-    process, and c = N/N̂ with N̂ = Σ S_i/π_i gives the Hájek one,
-    √N (N̂^{-1} Σ (S_i/π_i) I(y_i <= t) − N^{-1} Σ I(y_i <= t)).  The two
-    share one sort of y."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct population y t in increasing order, and there the
+    population CDF F_N = N^{-1} Σ I(y_i <= t) and its Horvitz-Thompson and
+    Hájek estimates Σ (S_i/π_i) I(y_i <= t) over N and over N̂ = Σ S_i/π_i.
+    Each is a cumulative sum of w/total in y order, so a census gives
+    F̂ ≡ F_N bit for bit."""
     if not pop.size == pi.pi.shape[0] == s.s.shape[0]:
         raise ValueError("population, probabilities, and sample lengths differ")
     r = s.s / pi.pi
@@ -62,9 +50,8 @@ def empirical_processes(
     if n_hat == 0.0:
         raise ValueError("estimated population size is zero (empty sample)")
     order, last = tie_groups(pop.y)
-    scale = 1.0 / math.sqrt(pop.size)
-    ht, hajek = (
-        scale * np.cumsum((c * r - 1.0)[order])[last]
-        for c in (1.0, pop.size / n_hat)
+    cdf, cdf_ht, cdf_hajek = (
+        np.cumsum((w / total)[order])[last]
+        for w, total in ((np.ones(pop.size), pop.size), (r, pop.size), (r, n_hat))
     )
-    return pop.y[order[last]], ht, hajek
+    return pop.y[order[last]], cdf, cdf_ht, cdf_hajek

@@ -148,7 +148,7 @@ def run_replication(
     population: PopulationFrame | None = None,
 ) -> BandStatistics:
     """One full pass: population, calibration, sample, then the band
-    pipeline at every level of the config."""
+    pipeline at every level of the config, keeping only its statistics."""
     rng = RngStream(config.master_seed).substream(rep_index)
     if population is None:
         population = generate_population(config.population_size, rng.substream(0))
@@ -163,7 +163,7 @@ def run_replication(
     return band_pipeline(
         population, incl, sample, config.levels, config.quantile_draws,
         rng.substream(2),
-    )
+    )[0]
 
 
 def _replication_task(args: tuple[SimConfig, int]) -> BandStatistics:
@@ -235,17 +235,16 @@ def format_report(report: CoverageReport) -> tuple[str, str]:
         f"  level={g:g}: coverage (avg width; max width)" for g in cfg.levels
     )
     text.write(header + "\n")
-    if report.cells:
-        for estimator in ("HT", "HAJEK"):
-            row = [f"{estimator:<9}"]
-            for cell in report.cells:
-                if cell.estimator != estimator:
-                    continue
-                row.append(
-                    f"  {cell.coverage:.3f} "
-                    f"({cell.avg_width:.4f}; {cell.max_width:.4f})"
-                )
-            text.write("".join(row) + "\n")
+    for estimator in ("HT", "HAJEK"):
+        row = [f"{estimator:<9}"]
+        for cell in report.cells:
+            if cell.estimator != estimator:
+                continue
+            row.append(
+                f"  {cell.coverage:.3f} "
+                f"({cell.avg_width:.4f}; {cell.max_width:.4f})"
+            )
+        text.write("".join(row) + "\n")
 
     csv = io.StringIO()
     csv.write(

@@ -15,6 +15,7 @@ from cpsband import (
     band_pipeline,
     pips_probabilities,
 )
+from cpsband import inference, processes
 from cpsband.cli import main
 
 from helpers import weighted_cdf_counts_brute
@@ -278,7 +279,7 @@ def test_band_center_is_the_estimated_cdf(population_csv, tmp_path, estimator):
     # q_hat from the band pipeline on the command's default seed.
     pop = PopulationFrame(y=y, x=np.array([float(r["x"]) for r in population]))
     sample = SampleIndicators.from_array(np.array([int(r["s"]) for r in rows]))
-    stats = band_pipeline(
+    stats, _, _ = band_pipeline(
         pop, pips_probabilities(pop.x, sample.count), sample, (0.95,), 1000,
         RngStream(0),
     )
@@ -341,22 +342,70 @@ def test_band_rejects_mismatched_sample(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["calibrate", "sample", "band"])
 def test_out_in_a_missing_directory_is_named(population_csv, tmp_path, capsys, command):
     # The error names the output path, not the temporary file beside it,
-    # and nothing is left behind.
+    # and nothing is left behind: neither when the directory is missing
+    # nor when the path is itself a directory.
     sample = tmp_path / "sample.csv"
     sample.write_text("unit,s\n" + "".join(f"{i},{int(i < 8)}\n" for i in range(40)))
+    (tmp_path / "taken.csv").mkdir()
     before = sorted(tmp_path.rglob("*"))
-    out = tmp_path / "nodir" / "out.csv"
     inputs = {
         "calibrate": ["--size", "8"],
         "sample": ["--size", "8"],
         "band": ["--sample", str(sample), "--quantile-draws", "100"],
     }[command]
-    code = main([command, "--population", str(population_csv), *inputs, "--out", str(out)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert err == f"error: cannot write {out}: No such file or directory\n"
-    assert ".tmp" not in err
-    assert sorted(tmp_path.rglob("*")) == before
+    for out, reason in (
+        (tmp_path / "nodir" / "out.csv", "No such file or directory"),
+        (tmp_path / "taken.csv", "Is a directory"),
+    ):
+        code = main([command, "--population", str(population_csv), *inputs,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: cannot write {out}: {reason}\n"
+        assert ".tmp" not in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["calibrate", "sample"])
+@pytest.mark.parametrize("size", ["0", "-1", "41"])
+def test_size_outside_the_population_names_the_flag(
+    population_csv, tmp_path, capsys, command, size
+):
+    # The population has N = 40 units, so --size must lie in [1, 40];
+    # it is checked once the population is read, before anything runs.
+    out = tmp_path / "out.csv"
+    code = main([
+        command, "--population", str(population_csv), "--size", size,
+        "--out", str(out),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1 and not out.exists()
+    assert captured.out == ""
+    assert captured.err == f"error: --size must lie in [1, 40], got {size}\n"
+
+
+def test_band_command_sorts_the_population_once(population_csv, tmp_path, monkeypatch):
+    # The band's center is the estimated CDF that the band pipeline
+    # already computed: one sort of the N population y, one of the n
+    # sampled y for the Gaussian paths, and none in the command itself.
+    sample = tmp_path / "sample.csv"
+    assert main([
+        "sample", "--population", str(population_csv), "--size", "8",
+        "--seed", "4", "--out", str(sample),
+    ]) == 0
+    lengths, tie_groups = [], processes.tie_groups
+
+    def counted(y):
+        lengths.append(y.shape[0])
+        return tie_groups(y)
+
+    monkeypatch.setattr(processes, "tie_groups", counted)
+    monkeypatch.setattr(inference, "tie_groups", counted)
+    assert main([
+        "band", "--population", str(population_csv), "--sample", str(sample),
+        "--quantile-draws", "100", "--out", str(tmp_path / "band.csv"),
+    ]) == 0
+    assert sorted(lengths) == [8, 40]
 
 
 def test_band_rejects_duplicate_sample_unit(tmp_path, capsys):

@@ -21,9 +21,9 @@ from cpsband import (
     RngStream,
     SampleIndicators,
     band_pipeline,
+    cdf_estimates,
     cps_sample_rejection_batch,
     cps_sample_sequential,
-    empirical_processes,
     enumerate_cps_distribution,
     exact_design_moments,
     exact_inclusion_orders,
@@ -80,9 +80,9 @@ class TestCovarianceEstimators:
 
         def g_at(s_row):
             s = SampleIndicators.from_array(s_row)
-            t, values, _ = empirical_processes(pop, incl, s)
+            t, cdf, cdf_ht, _ = cdf_estimates(pop, incl, s)
             assert t[k] == 0.8
-            return float(values[k])
+            return float(np.sqrt(pop.size) * (cdf_ht[k] - cdf[k]))
 
         mean, var = exact_design_moments(d, g_at)
         assert mean == pytest.approx(0.0, abs=1e-12)
@@ -492,13 +492,16 @@ def test_band_construction_and_closed_coverage():
 
 
 def test_zero_quantile_band_is_degenerate():
-    # On a census π ≡ 1, so both sups and both simulated quantiles are
-    # exactly 0, the band has zero half-width and it covers.
+    # On a census π ≡ 1, so both estimated CDFs are F_N bit for bit, both
+    # sups and both simulated quantiles are exactly 0, the band has zero
+    # half-width and it covers.
     pop = generate_population(30, RngStream(8))
     incl = pips_probabilities(pop.x, pop.size)
     sample = SampleIndicators(np.ones(pop.size, dtype=np.int8), pop.size)
-    stats = band_pipeline(pop, incl, sample, (0.9,), 1000, RngStream(9))
+    stats, _, centers = band_pipeline(pop, incl, sample, (0.9,), 1000, RngStream(9))
+    _, cdf, _, _ = cdf_estimates(pop, incl, sample)
     for estimator in ("HT", "HAJEK"):
+        assert np.array_equal(centers[estimator], cdf)
         assert stats.sup(estimator) == 0.0
         assert stats.quantile(estimator, 0) == 0.0
         assert stats.covered(estimator, 0)
@@ -511,18 +514,20 @@ def test_band_pipeline_is_the_band_chain():
     incl = pips_probabilities(pop.x, 15)
     sample = cps_sample_sequential(poisson_from_cps_inclusion(incl), RngStream(22))
     levels = (0.5, 0.9, 0.99)
-    stats = band_pipeline(pop, incl, sample, levels, 300, RngStream(23))
+    stats, t, centers = band_pipeline(pop, incl, sample, levels, 300, RngStream(23))
 
     sampled = sample.s == 1
     sups = simulate_sup_norms(
         pop.y[sampled], incl.pi[sampled], float((incl.pi * (1 - incl.pi)).sum()),
         pop.size, 300, RngStream(23),
     )
-    _, ht, hajek = empirical_processes(pop, incl, sample)
-    for estimator, values, sorted_sups in (
-        ("HT", ht, sups[0]), ("HAJEK", hajek, sups[1])
+    t_n, cdf, cdf_ht, cdf_hajek = cdf_estimates(pop, incl, sample)
+    assert np.array_equal(t, t_n)
+    for estimator, f_hat, sorted_sups in (
+        ("HT", cdf_ht, sups[0]), ("HAJEK", cdf_hajek, sups[1])
     ):
-        sup = float(np.abs(values).max())
+        assert np.array_equal(centers[estimator], f_hat)
+        sup = np.sqrt(pop.size) * float(np.abs(f_hat - cdf).max())
         assert stats.sup(estimator) == sup
         for j, gamma in enumerate(levels):
             q = stats.quantile(estimator, j)

@@ -1,5 +1,6 @@
-"""Empirical-process evaluations against direct double-loop references,
-and their sups as band_pipeline takes them."""
+"""CDF estimates and the empirical processes √N (F̂ − F_N) built from
+them, against direct double-loop references, and their sups as
+band_pipeline takes them."""
 
 from __future__ import annotations
 
@@ -12,14 +13,14 @@ from cpsband import (
     PopulationFrame,
     SampleIndicators,
     band_pipeline,
+    cdf_estimates,
     cps_sample_sequential,
-    empirical_processes,
     generate_population,
     pips_probabilities,
     poisson_from_cps_inclusion,
 )
 from cpsband import inference, processes
-from cpsband.processes import step_values, tie_groups
+from cpsband.processes import tie_groups
 from cpsband.samplers import RngStream
 
 from conftest import design_with_population
@@ -37,13 +38,19 @@ def brute_processes(pop, pi, s, t):
     return minus_one / np.sqrt(n), np.sqrt(n) * (ht / w.sum() - count / n)
 
 
+def processes_of(pop, incl, s):
+    """The thresholds, and the HT and Hájek processes √N (F̂ − F_N) there."""
+    t, cdf, cdf_ht, cdf_hajek = cdf_estimates(pop, incl, s)
+    return t, np.sqrt(pop.size) * (cdf_ht - cdf), np.sqrt(pop.size) * (cdf_hajek - cdf)
+
+
 def draw_sample(params, seed):
     return cps_sample_sequential(params, RngStream(seed))
 
 
 def sups(pop, incl, s):
     """The HT and Hájek sup statistics of band_pipeline."""
-    stats = band_pipeline(pop, incl, s, (0.9,), 100, RngStream(0))
+    stats, _, _ = band_pipeline(pop, incl, s, (0.9,), 100, RngStream(0))
     return stats.sup_ht, stats.sup_hajek
 
 
@@ -52,7 +59,7 @@ def sups(pop, incl, s):
 def test_htep_matches_brute_force(args, seed):
     pop, params, incl = args
     s = draw_sample(params, seed)
-    t, values, _ = empirical_processes(pop, incl, s)
+    t, values, _ = processes_of(pop, incl, s)
     np.testing.assert_array_equal(t, np.unique(pop.y))
     np.testing.assert_allclose(
         values, brute_processes(pop, incl, s, t)[0], atol=1e-12
@@ -64,7 +71,7 @@ def test_htep_matches_brute_force(args, seed):
 def test_hajek_matches_brute_force(args, seed):
     pop, params, incl = args
     s = draw_sample(params, seed)
-    t, _, values = empirical_processes(pop, incl, s)
+    t, _, values = processes_of(pop, incl, s)
     np.testing.assert_array_equal(t, np.unique(pop.y))
     np.testing.assert_allclose(
         values, brute_processes(pop, incl, s, t)[1], atol=1e-12
@@ -72,8 +79,8 @@ def test_hajek_matches_brute_force(args, seed):
 
 
 def test_band_pipeline_sorts_the_population_once(monkeypatch):
-    # Both processes come from one sort of the N population y; the
-    # Gaussian paths sort only the n sampled y.
+    # F_N and both estimates come from one sort of the N population y;
+    # the Gaussian paths sort only the n sampled y.
     pop = generate_population(200, RngStream(4))
     incl = pips_probabilities(pop.x, 20)
     s = draw_sample(poisson_from_cps_inclusion(incl), 5)
@@ -110,7 +117,7 @@ def test_left_limits_capture_pre_jump_extreme():
     pop = PopulationFrame(y=np.array([0.0, 1.0]), x=np.ones(2))
     incl = InclusionProbabilities(pi=np.array([0.2, 0.8]), n=1)
     s = SampleIndicators.from_array(np.array([0, 1]))
-    _, values, _ = empirical_processes(pop, incl, s)
+    _, values, _ = processes_of(pop, incl, s)
     # value at t=0 is -1/sqrt(2); left of t=1 it is still -1/sqrt(2),
     # the value at the previous jump, and at t=1 it jumps to
     # (1/0.8 - 1 - 1)/sqrt(2).
@@ -126,13 +133,18 @@ def test_census_process_vanishes():
     assert sups(pop, incl, s) == (0.0, 0.0)
 
 
-def test_step_values_merge_ties():
-    # Sorted, y = 1 carries weight 10 and the two units at y = 2 carry 1
-    # and 100; the path is read once per distinct y, after the last unit
-    # of each tie group.
-    t, values = step_values(np.array([2.0, 1.0, 2.0]), np.array([1.0, 10.0, 100.0]))
+def test_cdf_estimates_merge_ties():
+    # Sorted, y = 1 is not sampled and the two units at y = 2 carry
+    # weights 1/π = 4 and 1; each CDF is read once per distinct y, after
+    # the last unit of each tie group, so the y = 2 row holds both.
+    pop = PopulationFrame(y=np.array([2.0, 1.0, 2.0]), x=np.ones(3))
+    incl = InclusionProbabilities(pi=np.array([0.25, 0.75, 1.0]), n=2)
+    s = SampleIndicators.from_array(np.array([1, 0, 1]))
+    t, cdf, cdf_ht, cdf_hajek = cdf_estimates(pop, incl, s)
     np.testing.assert_array_equal(t, [1.0, 2.0])
-    np.testing.assert_array_equal(values, [10.0, 111.0])
+    np.testing.assert_allclose(cdf, [1 / 3, 1.0], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(cdf_ht, [0.0, 5 / 3], rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(cdf_hajek, [0.0, 1.0], rtol=0.0, atol=1e-15)
 
 
 def test_non_finite_sup_is_rejected():

@@ -1,5 +1,9 @@
 """Fixed-size maximum-entropy sampling designs, design-based empirical
-processes, and uniform confidence bands for the population CDF."""
+processes, and uniform confidence bands for the population CDF.
+
+The brute-force oracle that the tests check the pipeline against is
+``cpsband.oracle``; the package itself does not import it.
+"""
 
 from .calibration import (
     CalibrationError,
@@ -19,14 +23,6 @@ from .inference import (
     limit_cov_ht,
     simulate_sup_norms,
     sup_quantile,
-)
-from .oracle import (
-    DesignDistribution,
-    empirical_cps_distribution,
-    enumerate_cps_distribution,
-    exact_design_moments,
-    exact_inclusion_orders,
-    total_variation,
 )
 from .processes import cdf_estimates
 from .samplers import (
@@ -53,7 +49,6 @@ __all__ = [
     "CalibrationError",
     "CanonicalPoissonParams",
     "CoverageReport",
-    "DesignDistribution",
     "InclusionProbabilities",
     "LimitCovariance",
     "PopulationFrame",
@@ -67,10 +62,6 @@ __all__ = [
     "cps_inclusion_from_poisson",
     "cps_sample_rejection_batch",
     "cps_sample_sequential",
-    "empirical_cps_distribution",
-    "enumerate_cps_distribution",
-    "exact_design_moments",
-    "exact_inclusion_orders",
     "format_report",
     "generate_population",
     "limit_cov_hajek",
@@ -82,5 +73,4 @@ __all__ = [
     "simulate_sup_norms",
     "solve_truncation_constant",
     "sup_quantile",
-    "total_variation",
 ]

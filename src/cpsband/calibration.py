@@ -29,7 +29,7 @@ water-filling solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -57,15 +57,23 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _check_sample_size(n: int, n_units: int) -> None:
+    """Reject a sample size n that is not an integer in [1, N]; a bool
+    is not taken for one."""
+    if isinstance(n, bool) or not isinstance(n, Integral):
+        raise CalibrationError(f"n must be an integer, got {n!r}")
+    if not 1 <= n <= n_units:
+        raise CalibrationError(f"n = {n} outside [1, {n_units}]")
+
+
 def _design_vector(values, n: int, name: str, noun: str) -> np.ndarray:
     """``values`` as a frozen 1-d array of N entries in (0, 1] that sum
-    to the sample size n, 1 <= n <= N; ``name`` and ``noun`` word the
-    errors."""
+    to the sample size n, an integer in [1, N]; ``name`` and ``noun``
+    word the errors."""
     arr = _frozen_array(values)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-d array")
-    if not 1 <= n <= arr.shape[0]:
-        raise CalibrationError("n must lie in [1, N]")
+    _check_sample_size(n, arr.shape[0])
     if np.any(arr <= 0) or np.any(arr > 1):
         raise CalibrationError(f"{noun} must lie in (0, 1]")
     if abs(float(arr.sum()) - n) > SUM_TOL:
@@ -73,16 +81,16 @@ def _design_vector(values, n: int, name: str, noun: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
 class PopulationFrame:
     """Study values y and strictly positive auxiliary sizes x for N units."""
 
+    __slots__ = ("y", "x")
     y: np.ndarray
     x: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "y", _frozen_array(self.y))
-        object.__setattr__(self, "x", _frozen_array(self.x))
+    def __init__(self, y, x) -> None:
+        self.y = _frozen_array(y)
+        self.x = _frozen_array(x)
         if self.y.ndim != 1 or self.x.ndim != 1:
             raise ValueError("y and x must be 1-d arrays")
         if self.y.shape != self.x.shape:
@@ -99,26 +107,25 @@ class PopulationFrame:
         return self.y.shape[0]
 
 
-@dataclass(frozen=True)
 class InclusionProbabilities:
     """First-order inclusion probabilities of a fixed-size design.
 
     Entries lie in (0, 1] and sum to the target sample size n.
     """
 
+    __slots__ = ("pi", "n")
     pi: np.ndarray
     n: int
 
-    def __post_init__(self):
-        pi = _design_vector(self.pi, self.n, "pi", "inclusion probabilities")
-        object.__setattr__(self, "pi", pi)
+    def __init__(self, pi, n: int) -> None:
+        self.pi = _design_vector(pi, n, "pi", "inclusion probabilities")
+        self.n = n
 
     @property
     def size(self) -> int:
         return self.pi.shape[0]
 
 
-@dataclass(frozen=True)
 class CanonicalPoissonParams:
     """Bernoulli parameters of the canonical independent design, sum p = n.
 
@@ -126,11 +133,13 @@ class CanonicalPoissonParams:
     share the ``slots`` left open.
     """
 
+    __slots__ = ("p", "n")
     p: np.ndarray
     n: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", _design_vector(self.p, self.n, "p", "parameters"))
+    def __init__(self, p, n: int) -> None:
+        self.p = _design_vector(p, n, "p", "parameters")
+        self.n = n
 
     @property
     def size(self) -> int:
@@ -173,8 +182,7 @@ def pips_probabilities(x: np.ndarray, n: int) -> InclusionProbabilities:
     if x.ndim != 1:
         raise ValueError("x must be a 1-d array")
     n_units = x.shape[0]
-    if not 1 <= n <= n_units:
-        raise CalibrationError(f"n = {n} outside [1, {n_units}]")
+    _check_sample_size(n, n_units)
     if np.any(x <= 0) or not np.all(np.isfinite(x)):
         raise CalibrationError("auxiliary sizes must be finite and positive")
     if n == n_units:

@@ -33,13 +33,6 @@ from .calibration import (
     poisson_from_cps_inclusion,
 )
 from .inference import band_pipeline
-from .oracle import (
-    empirical_cps_distribution,
-    enumerate_cps_distribution,
-    exact_design_moments,
-    exact_inclusion_orders,
-    total_variation,
-)
 from .samplers import (
     RngStream,
     SampleIndicators,
@@ -305,6 +298,15 @@ def _oracle_instance(gen: np.random.Generator) -> tuple[np.ndarray, int]:
 
 
 def _cmd_oracle_check(args: argparse.Namespace) -> int:
+    # Only this command enumerates designs, so no other command loads the oracle.
+    from .oracle import (
+        empirical_cps_distribution,
+        enumerate_cps_distribution,
+        exact_design_moments,
+        exact_inclusion_orders,
+        total_variation,
+    )
+
     if args.instances < 1:
         raise ValueError(f"--instances must be at least 1, got {args.instances}")
     _check_seed(args.seed)

@@ -25,7 +25,6 @@ converge to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -252,8 +251,7 @@ def sup_quantile(sorted_sups: np.ndarray, gamma: float) -> float:
     return float(sorted_sups[math.ceil(rank) - 1])
 
 
-@dataclass(frozen=True)
-class BandStatistics:
+class BandStatistics(NamedTuple):
     """Sup statistics of the HT and Hájek processes on one sample, and
     their simulated sup quantiles, one per confidence level."""
 

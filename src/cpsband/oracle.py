@@ -11,7 +11,6 @@ module holds no sampler: the shipped one is checked against these laws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from typing import Callable
@@ -35,17 +34,17 @@ __all__ = [
 MAX_CPS_UNITS = 20
 
 
-@dataclass(frozen=True)
 class DesignDistribution:
     """A fixed-size sampling design written out as (indicator row,
     probability) pairs, one per size-n sample."""
 
+    __slots__ = ("indicators", "probability")
     indicators: np.ndarray
     probability: np.ndarray
 
-    def __post_init__(self) -> None:
-        ind = np.asarray(self.indicators)
-        prob = np.asarray(self.probability, dtype=float)
+    def __init__(self, indicators, probability) -> None:
+        ind = np.asarray(indicators)
+        prob = np.asarray(probability, dtype=float)
         if ind.ndim != 2 or prob.ndim != 1 or ind.shape[0] != prob.shape[0]:
             raise ValueError("indicators must be (M, N) with M probabilities")
         if not np.all((ind == 0) | (ind == 1)):
@@ -58,8 +57,8 @@ class DesignDistribution:
             raise ValueError("samples must share one size")
         if ind.shape[0] != comb(ind.shape[1], n):
             raise ValueError("the support must list every size-n sample")
-        object.__setattr__(self, "indicators", _frozen_array(ind, np.int8))
-        object.__setattr__(self, "probability", _frozen_array(prob, float))
+        self.indicators = _frozen_array(ind, np.int8)
+        self.probability = _frozen_array(prob, float)
 
     @property
     def n_units(self) -> int:

@@ -20,7 +20,7 @@ the rejection batch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ class SamplingError(RuntimeError):
     """Raised when a sampler cannot produce a valid draw."""
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(NamedTuple):
     """Deterministic random stream with keyed substreams.
 
     Substreams map (master_seed, key) to independent generators through
@@ -71,22 +70,23 @@ class RngStream:
         return np.random.default_rng(seq)
 
 
-@dataclass(frozen=True)
 class SampleIndicators:
     """A drawn 0/1 inclusion vector and its realized size."""
 
+    __slots__ = ("s", "count")
     s: np.ndarray
     count: int
 
-    def __post_init__(self) -> None:
-        s = np.asarray(self.s)
+    def __init__(self, s, count: int) -> None:
+        s = np.asarray(s)
         if s.ndim != 1:
             raise ValueError("indicators must form a 1-d array")
         if not np.all((s == 0) | (s == 1)):
             raise ValueError("indicators must be 0 or 1")
-        if int(s.sum()) != self.count:
+        if int(s.sum()) != count:
             raise ValueError("count does not match the indicator sum")
-        object.__setattr__(self, "s", _frozen_array(s, np.int8))
+        self.s = _frozen_array(s, np.int8)
+        self.count = count
 
     @classmethod
     def from_array(cls, s: np.ndarray) -> "SampleIndicators":

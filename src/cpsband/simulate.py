@@ -15,7 +15,6 @@ from __future__ import annotations
 import io
 import time
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 from typing import Literal
@@ -184,6 +183,9 @@ def run_experiment(config: SimConfig) -> CoverageReport:
     if config.threads == 1:
         records = [_replication_task(t) for t in tasks]
     else:
+        # The pool loads multiprocessing, which a one-worker run never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunk = max(1, config.replications // (4 * config.threads))
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             records = list(pool.map(_replication_task, tasks, chunksize=chunk))

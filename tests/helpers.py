@@ -16,12 +16,12 @@ import numpy as np
 from cpsband import (
     CalibrationError,
     CanonicalPoissonParams,
-    DesignDistribution,
     InclusionProbabilities,
     PopulationFrame,
     SampleIndicators,
 )
 from cpsband.calibration import _expit, _logit, _renormalize_logodds
+from cpsband.oracle import DesignDistribution
 from cpsband.processes import tie_groups
 
 

@@ -20,9 +20,6 @@ from cpsband import (
     SimConfig,
     cps_inclusion_from_poisson,
     cps_sample_rejection_batch,
-    empirical_cps_distribution,
-    enumerate_cps_distribution,
-    exact_inclusion_orders,
     format_report,
     pips_probabilities,
     poisson_from_cps_inclusion,
@@ -30,6 +27,11 @@ from cpsband import (
     run_replication,
     simulate_sup_norms,
     sup_quantile,
+)
+from cpsband.oracle import (
+    empirical_cps_distribution,
+    enumerate_cps_distribution,
+    exact_inclusion_orders,
     total_variation,
 )
 

@@ -17,12 +17,14 @@ from cpsband import (
     cps_inclusion_from_poisson,
     cps_sample_rejection_batch,
     cps_sample_sequential,
-    enumerate_cps_distribution,
-    exact_inclusion_orders,
     generate_population,
     pips_probabilities,
     poisson_from_cps_inclusion,
     solve_truncation_constant,
+)
+from cpsband.oracle import (
+    enumerate_cps_distribution,
+    exact_inclusion_orders,
     total_variation,
 )
 
@@ -340,6 +342,21 @@ def test_canonical_params_validation():
     params = CanonicalPoissonParams(p=np.array([0.5, 0.5, 1.0]), n=2)
     p_free = params.p[params.free]
     np.testing.assert_allclose(p_free / (1 - p_free), 1.0)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, True])
+def test_sample_size_must_be_an_integer(n):
+    # Each vector sums to n, so only the type of n is at fault.
+    values = np.full(5, n / 5)
+    for build in (
+        lambda: pips_probabilities(np.arange(1.0, 6.0), n),
+        lambda: InclusionProbabilities(pi=values, n=n),
+        lambda: CanonicalPoissonParams(p=values, n=n),
+    ):
+        with pytest.raises(CalibrationError, match=f"n must be an integer, got {n!r}"):
+            build()
+    assert pips_probabilities(np.arange(1.0, 6.0), np.int64(2)).n == 2
+    assert InclusionProbabilities(pi=np.full(5, 0.4), n=np.int64(2)).n == 2
 
 
 def test_params_carry_the_reduced_design():

@@ -24,9 +24,6 @@ from cpsband import (
     cdf_estimates,
     cps_sample_rejection_batch,
     cps_sample_sequential,
-    enumerate_cps_distribution,
-    exact_design_moments,
-    exact_inclusion_orders,
     generate_population,
     limit_cov_hajek,
     limit_cov_ht,
@@ -41,6 +38,11 @@ from cpsband.inference import (
     _kappa,
     _path_constants,
     _sigma_prime_terms,
+)
+from cpsband.oracle import (
+    enumerate_cps_distribution,
+    exact_design_moments,
+    exact_inclusion_orders,
 )
 
 from conftest import design_with_population

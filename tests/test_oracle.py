@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cpsband import (
+from cpsband import SampleIndicators
+from cpsband.oracle import (
     DesignDistribution,
-    SampleIndicators,
     empirical_cps_distribution,
     enumerate_cps_distribution,
     exact_design_moments,

@@ -16,13 +16,15 @@ from cpsband import (
     calibration,
     cps_sample_rejection_batch,
     cps_sample_sequential,
-    empirical_cps_distribution,
-    enumerate_cps_distribution,
-    exact_inclusion_orders,
     generate_population,
     pips_probabilities,
     poisson_from_cps_inclusion,
     samplers,
+)
+from cpsband.oracle import (
+    empirical_cps_distribution,
+    enumerate_cps_distribution,
+    exact_inclusion_orders,
     total_variation,
 )
 

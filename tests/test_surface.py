@@ -1,13 +1,17 @@
 """The public surface: every exported name resolves, so does every name
-the README's package bullets cite, and the README's layout lists the
-package's modules."""
+the README's package bullets cite, the README's layout lists the
+package's modules, and importing the package loads only what every
+command needs."""
 
 from __future__ import annotations
 
 import builtins
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import cpsband
@@ -57,3 +61,20 @@ def test_readme_layout_lists_every_module():
     listed = re.findall(r"^  (\w+\.py) ", block, flags=re.MULTILINE)
     shipped = [path.name for path in (ROOT / "src" / "cpsband").glob("*.py")]
     assert sorted(listed) == sorted(name for name in shipped if name != "__init__.py")
+
+
+def test_import_loads_neither_the_oracle_nor_the_process_pool():
+    # Only oracle-check reads the oracle, and only simulate on more than
+    # one worker starts the pool, so a fresh import of the package and
+    # its command line loads neither.
+    script = (
+        "import sys, cpsband, cpsband.cli\n"
+        "print(*sorted({'cpsband.oracle', 'multiprocessing'} & sys.modules.keys()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cpsband.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -13,14 +13,10 @@ from .calibration import (
     cps_inclusion_from_poisson,
     pips_probabilities,
     poisson_from_cps_inclusion,
-    solve_truncation_constant,
 )
 from .inference import (
     BandStatistics,
-    LimitCovariance,
     band_pipeline,
-    limit_cov_hajek,
-    limit_cov_ht,
     simulate_sup_norms,
     sup_quantile,
 )
@@ -50,7 +46,6 @@ __all__ = [
     "CanonicalPoissonParams",
     "CoverageReport",
     "InclusionProbabilities",
-    "LimitCovariance",
     "PopulationFrame",
     "ReportCell",
     "RngStream",
@@ -64,13 +59,10 @@ __all__ = [
     "cps_sample_sequential",
     "format_report",
     "generate_population",
-    "limit_cov_hajek",
-    "limit_cov_ht",
     "pips_probabilities",
     "poisson_from_cps_inclusion",
     "run_experiment",
     "run_replication",
     "simulate_sup_norms",
-    "solve_truncation_constant",
     "sup_quantile",
 ]

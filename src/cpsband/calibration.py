@@ -20,11 +20,10 @@ the open slots to their exact inclusion probabilities, for the forward
 map and for every trial point of its inverse; the sampler reads the
 certain units and the open slots.
 
-Plus the weight-truncation constant θ of the large-sample covariance
-formulas, which inference.limit_cov_ht and limit_cov_hajek take.  It
-solves the same clipped-proportional equation as the first conversion,
-sum_i min(c x_i, 1) = total, and both take c from one exact
-water-filling solve.
+The first conversion solves sum_i min(c x_i, 1) = n for c by one exact
+water-filling step, ``_clipped_scale``.  The weight-truncation constant
+θ of the paper's limit covariance solves the same equation; it is a
+test reference in tests/helpers.py and takes c from that step too.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "pips_probabilities",
     "cps_inclusion_from_poisson",
     "poisson_from_cps_inclusion",
-    "solve_truncation_constant",
 ]
 
 SUM_TOL = 1e-9
@@ -445,22 +443,3 @@ def poisson_from_cps_inclusion(incl: InclusionProbabilities) -> CanonicalPoisson
         step = min(1.0, 2.0 * step)
     p[free] = _expit(_renormalize_logodds(logit_p, m))
     return CanonicalPoissonParams(p=p, n=n)
-
-
-def solve_truncation_constant(alpha: float, w_samples: np.ndarray) -> float:
-    """The unique positive constant theta with
-    mean_i min(theta * w_i / mean(w), 1) = alpha.
-
-    That is sum_i min(c w_i, 1) = alpha N with c = theta / mean(w), the
-    equation ``pips_probabilities`` solves, so theta comes from the same
-    exact solve.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise CalibrationError("alpha must lie in (0, 1)")
-    w = np.asarray(w_samples, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise CalibrationError("w_samples must be a nonempty 1-d array")
-    if np.any(w <= 0) or not np.all(np.isfinite(w)):
-        raise CalibrationError("weights must be finite and positive")
-    c, _ = _clipped_scale(w, alpha * w.shape[0])
-    return c * float(w.mean())

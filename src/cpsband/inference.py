@@ -1,4 +1,4 @@
-"""Limit covariances, sup-norm quantiles, and confidence bands.
+"""Gaussian sup-norm quantiles and confidence bands.
 
 ``band_pipeline`` is the one band chain that the coverage experiment
 and the ``band`` command share: the sup statistics √N·max|F̂ − F_N| of
@@ -17,15 +17,15 @@ that the pipeline hands back, which ``cpsband band`` writes out
 clipped to [0, 1]; the coverage experiment keeps only the statistics.
 Both process variants share one set of Gaussian draws, which keeps
 their quantiles comparable replication by replication.  The n×n
-plug-in estimates that AᵀA is tested against live in tests/helpers.py;
-the analytic limit covariance of the functional CLT is what they
-converge to.
+plug-in estimates that AᵀA is tested against, and the analytic limit
+covariance of the functional CLT that they converge to, live in
+tests/helpers.py.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,85 +35,10 @@ from .samplers import RngStream, SampleIndicators
 
 __all__ = [
     "BandStatistics",
-    "LimitCovariance",
     "band_pipeline",
-    "limit_cov_hajek",
-    "limit_cov_ht",
     "simulate_sup_norms",
     "sup_quantile",
 ]
-
-# A population model draws (y, x) pairs; bounded_size_model in
-# tests/helpers.py is one.
-PopulationModel = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
-
-
-class LimitCovariance(NamedTuple):
-    value: float
-    stderr: float
-
-
-def _kappa(x: np.ndarray, theta: float) -> np.ndarray:
-    """Limit inclusion fraction κ(X) = θ·min(w, E w/θ)/E w with w = X."""
-    mean_w = float(x.mean())
-    w_theta = np.minimum(x, mean_w / theta)
-    return theta * w_theta / mean_w
-
-
-def _sigma_prime_terms(
-    f_vals: np.ndarray, g_vals: np.ndarray, kappa: np.ndarray
-) -> np.ndarray:
-    """Per-draw integrands of the limit covariance of the HT process."""
-    weight = (1.0 - kappa) / kappa
-    denom = float((kappa * (1.0 - kappa)).mean())
-    r_f = float((f_vals * (1.0 - kappa)).mean()) / denom
-    r_g = float((g_vals * (1.0 - kappa)).mean()) / denom
-    return weight * (f_vals - r_f * kappa) * (g_vals - r_g * kappa)
-
-
-def limit_cov_ht(
-    f: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray], np.ndarray],
-    model: PopulationModel,
-    theta: float,
-    mc_n: int,
-    rng: RngStream,
-) -> LimitCovariance:
-    """Monte Carlo estimate of the analytic limit covariance of the
-    Horvitz-Thompson process at functions f and g:
-    E[((1−κ)/κ)(f(Y) − R(f)κ)(g(Y) − R(g)κ)]."""
-    if mc_n < 10_000:
-        raise ValueError("mc_n must be at least 10^4")
-    gen = rng.generator()
-    y, x = model(gen, mc_n)
-    kappa = _kappa(x, theta)
-    terms = _sigma_prime_terms(f(y), g(y), kappa)
-    return LimitCovariance(
-        value=float(terms.mean()),
-        stderr=float(terms.std(ddof=1) / math.sqrt(mc_n)),
-    )
-
-
-def limit_cov_hajek(
-    f: Callable[[np.ndarray], np.ndarray],
-    g: Callable[[np.ndarray], np.ndarray],
-    model: PopulationModel,
-    theta: float,
-    mc_n: int,
-    rng: RngStream,
-) -> LimitCovariance:
-    """Limit covariance of the Hájek process: the Horvitz-Thompson one at
-    the centered functions f − f̄ and g − ḡ.  ``limit_cov_ht`` applies
-    each function once to its whole Monte Carlo draw, so the means are
-    taken on that same draw.  The integrand is bilinear in (f, g), so
-    this is the four-term correction of the HT covariance by the
-    constant function, and constants cancel exactly."""
-    return limit_cov_ht(
-        lambda y: f(y) - f(y).mean(),
-        lambda y: g(y) - g(y).mean(),
-        model, theta, mc_n, rng,
-    )
-
 
 # A block of ξ holds about 2^18 bytes (256 KiB) of rows, so the passes
 # over it run in cache and the draw's memory does not grow with B'.  A

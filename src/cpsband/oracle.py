@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .calibration import _frozen_array
+from .calibration import _check_sample_size, _frozen_array
 
 __all__ = [
     "DesignDistribution",
@@ -75,15 +75,14 @@ def _size_n_universe(n_units: int, n: int) -> np.ndarray:
 
 def enumerate_cps_distribution(p: np.ndarray, n: int) -> DesignDistribution:
     """The exact fixed-size law: P(s) ∝ Π p_i^{s_i} (1-p_i)^{1-s_i}
-    over all size-n samples."""
+    over all size-n samples, for an integer n in [1, N]."""
     p = np.asarray(p, dtype=float)
     if p.ndim != 1:
         raise ValueError("p must be a 1-d array")
     n_units = p.shape[0]
     if n_units > MAX_CPS_UNITS:
         raise ValueError(f"enumeration is limited to N <= {MAX_CPS_UNITS}")
-    if not 0 <= n <= n_units:
-        raise ValueError("n must lie in [0, N]")
+    _check_sample_size(n, n_units)
     if np.any(p < 0) or np.any(p > 1):
         raise ValueError("p must lie in [0, 1]")
     ind = _size_n_universe(n_units, n)

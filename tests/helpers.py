@@ -1,15 +1,18 @@
 """Reference implementations the tests trust over the package: brute-force
 sums and exact solves, the n×n plug-in covariances that the Gaussian
-draws must reproduce, the earlier design kernel that the shipped one
-must match bit for bit, the independent (Poisson) design's law and its
-size-n conditioning, and the canonical representative of a parameter
-vector that the design strategies build on."""
+draws must reproduce, the paper's analytic limit covariance of both
+processes and its truncation constant θ, which the plug-in estimates
+converge to, the earlier design kernel that the shipped one must match
+bit for bit, the independent (Poisson) design's law and its size-n
+conditioning, and the canonical representative of a parameter vector
+that the design strategies build on."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -18,9 +21,10 @@ from cpsband import (
     CanonicalPoissonParams,
     InclusionProbabilities,
     PopulationFrame,
+    RngStream,
     SampleIndicators,
 )
-from cpsband.calibration import _expit, _logit, _renormalize_logodds
+from cpsband.calibration import _clipped_scale, _expit, _logit, _renormalize_logodds
 from cpsband.oracle import DesignDistribution
 from cpsband.processes import tie_groups
 
@@ -81,6 +85,97 @@ def bounded_size_model(gen: np.random.Generator, m: int) -> tuple[np.ndarray, np
     factor 4 of each other."""
     x = gen.uniform(0.5, 2.0, size=m)
     return x + gen.normal(0.0, x), x
+
+
+# A population model draws (y, x) pairs; bounded_size_model above
+# is one.
+PopulationModel = Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
+
+
+class LimitCovariance(NamedTuple):
+    value: float
+    stderr: float
+
+
+def _kappa(x: np.ndarray, theta: float) -> np.ndarray:
+    """Limit inclusion fraction κ(X) = θ·min(w, E w/θ)/E w with w = X."""
+    mean_w = float(x.mean())
+    w_theta = np.minimum(x, mean_w / theta)
+    return theta * w_theta / mean_w
+
+
+def _sigma_prime_terms(
+    f_vals: np.ndarray, g_vals: np.ndarray, kappa: np.ndarray
+) -> np.ndarray:
+    """Per-draw integrands of the limit covariance of the HT process."""
+    weight = (1.0 - kappa) / kappa
+    denom = float((kappa * (1.0 - kappa)).mean())
+    r_f = float((f_vals * (1.0 - kappa)).mean()) / denom
+    r_g = float((g_vals * (1.0 - kappa)).mean()) / denom
+    return weight * (f_vals - r_f * kappa) * (g_vals - r_g * kappa)
+
+
+def limit_cov_ht(
+    f: Callable[[np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray], np.ndarray],
+    model: PopulationModel,
+    theta: float,
+    mc_n: int,
+    rng: RngStream,
+) -> LimitCovariance:
+    """Monte Carlo estimate of the analytic limit covariance of the
+    Horvitz-Thompson process at functions f and g:
+    E[((1−κ)/κ)(f(Y) − R(f)κ)(g(Y) − R(g)κ)]."""
+    if mc_n < 10_000:
+        raise ValueError("mc_n must be at least 10^4")
+    gen = rng.generator()
+    y, x = model(gen, mc_n)
+    kappa = _kappa(x, theta)
+    terms = _sigma_prime_terms(f(y), g(y), kappa)
+    return LimitCovariance(
+        value=float(terms.mean()),
+        stderr=float(terms.std(ddof=1) / math.sqrt(mc_n)),
+    )
+
+
+def limit_cov_hajek(
+    f: Callable[[np.ndarray], np.ndarray],
+    g: Callable[[np.ndarray], np.ndarray],
+    model: PopulationModel,
+    theta: float,
+    mc_n: int,
+    rng: RngStream,
+) -> LimitCovariance:
+    """Limit covariance of the Hájek process: the Horvitz-Thompson one at
+    the centered functions f − f̄ and g − ḡ.  ``limit_cov_ht`` applies
+    each function once to its whole Monte Carlo draw, so the means are
+    taken on that same draw.  The integrand is bilinear in (f, g), so
+    this is the four-term correction of the HT covariance by the
+    constant function, and constants cancel exactly."""
+    return limit_cov_ht(
+        lambda y: f(y) - f(y).mean(),
+        lambda y: g(y) - g(y).mean(),
+        model, theta, mc_n, rng,
+    )
+
+
+def solve_truncation_constant(alpha: float, w_samples: np.ndarray) -> float:
+    """The unique positive constant theta with
+    mean_i min(theta * w_i / mean(w), 1) = alpha.
+
+    That is sum_i min(c w_i, 1) = alpha N with c = theta / mean(w), the
+    equation ``pips_probabilities`` solves, so theta comes from the same
+    exact solve.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise CalibrationError("alpha must lie in (0, 1)")
+    w = np.asarray(w_samples, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise CalibrationError("w_samples must be a nonempty 1-d array")
+    if np.any(w <= 0) or not np.all(np.isfinite(w)):
+        raise CalibrationError("weights must be finite and positive")
+    c, _ = _clipped_scale(w, alpha * w.shape[0])
+    return c * float(w.mean())
 
 
 def canonicalize_poisson(p, n: int) -> CanonicalPoissonParams:

@@ -20,7 +20,6 @@ from cpsband import (
     generate_population,
     pips_probabilities,
     poisson_from_cps_inclusion,
-    solve_truncation_constant,
 )
 from cpsband.oracle import (
     enumerate_cps_distribution,
@@ -29,7 +28,7 @@ from cpsband.oracle import (
 )
 
 from conftest import design_params
-from helpers import canonicalize_poisson, pips_exact
+from helpers import canonicalize_poisson, pips_exact, solve_truncation_constant
 
 
 def ulps(actual, expected) -> float:

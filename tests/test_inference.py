@@ -25,20 +25,12 @@ from cpsband import (
     cps_sample_rejection_batch,
     cps_sample_sequential,
     generate_population,
-    limit_cov_hajek,
-    limit_cov_ht,
     pips_probabilities,
     poisson_from_cps_inclusion,
     simulate_sup_norms,
-    solve_truncation_constant,
     sup_quantile,
 )
-from cpsband.inference import (
-    _gaussian_paths,
-    _kappa,
-    _path_constants,
-    _sigma_prime_terms,
-)
+from cpsband.inference import _gaussian_paths, _path_constants
 from cpsband.oracle import (
     enumerate_cps_distribution,
     exact_design_moments,
@@ -47,11 +39,16 @@ from cpsband.oracle import (
 
 from conftest import design_with_population
 from helpers import (
+    _kappa,
     _sampled_indicators,
+    _sigma_prime_terms,
     _z_scores,
     bounded_size_model,
     estimate_cov_hajek,
     estimate_cov_ht,
+    limit_cov_hajek,
+    limit_cov_ht,
+    solve_truncation_constant,
 )
 
 # Enumerated pins for p = (0.25, 0.35, 0.45, 0.55, 0.65, 0.75), n = 3,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cpsband import SampleIndicators
+from cpsband import CalibrationError, SampleIndicators
 from cpsband.oracle import (
     DesignDistribution,
     empirical_cps_distribution,
@@ -76,6 +76,30 @@ def test_certain_unit_carries_full_mass():
     without = d.indicators[:, 1] == 0
     assert np.all(d.probability[without] == 0.0)
     assert d.probability[~without].sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (True, "n must be an integer, got True"),
+        (2.5, "n must be an integer, got 2.5"),
+        (0, r"n = 0 outside \[1, 4\]"),
+        (5, r"n = 5 outside \[1, 4\]"),
+    ],
+    ids=["bool", "float", "zero", "above-N"],
+)
+def test_enumeration_rejects_a_sample_size_outside_the_designs(n, message):
+    # The same check as every design entry point: n is an integer in
+    # [1, N], and a bool is not taken for one.
+    with pytest.raises(CalibrationError, match=message):
+        enumerate_cps_distribution(np.array([0.2, 0.5, 0.8, 0.5]), n)
+
+
+def test_enumeration_takes_numpy_and_edge_sample_sizes():
+    p = np.array([0.2, 0.5, 0.8, 0.5])
+    assert enumerate_cps_distribution(p, np.int64(2)).indicators.shape == (6, 4)
+    assert enumerate_cps_distribution(p, 1).indicators.shape == (4, 4)
+    np.testing.assert_array_equal(enumerate_cps_distribution(p, 4).probability, [1.0])
 
 
 def test_total_variation_extremes():

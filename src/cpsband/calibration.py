@@ -17,8 +17,9 @@ odds p / (1 - p).  ``CanonicalPoissonParams`` carries that reduction
 once (``free``, ``slots``).  This module is the one home of that
 design: ``_forward_map`` is its kernel, taking the free units' odds and
 the open slots to their exact inclusion probabilities, for the forward
-map and for every trial point of its inverse; the sampler reads the
-certain units and the open slots.
+map and, through ``_forward_at``, for the start and every trial point
+of its inverse, which ends on a Newton shift of the log-odds to
+sum p = n; the sampler reads the certain units and the open slots.
 
 The first conversion solves sum_i min(c x_i, 1) = n for c by one exact
 water-filling step, ``_clipped_scale``.  The weight-truncation constant
@@ -267,37 +268,6 @@ def cps_inclusion_from_poisson(params: CanonicalPoissonParams) -> InclusionProba
     return InclusionProbabilities(pi=pi, n=params.n)
 
 
-def _renormalize_logodds(logit_p: np.ndarray, n: int) -> np.ndarray:
-    """Shift log-odds z by a common constant so the probabilities sum to
-    n, for 0 < n < N.
-
-    A common shift stays inside the odds-equivalence class of the
-    fixed-size design, so this is exactly the canonical representative.
-    With L = logit(n / N), every unit is at most n / N at the shift
-    L - max z and at least n / N at L - min z, so those two shifts
-    bracket the root.  Bisection closes the bracket widened by 1 on
-    each side, so that rounding in the sum cannot put the root outside
-    it when the z nearly coincide.
-    """
-
-    def total(shift: float) -> float:
-        return float(_expit(logit_p + shift).sum())
-
-    target = float(_logit(np.float64(n / logit_p.shape[0])))
-    lo, hi = target - float(logit_p.max()) - 1.0, target - float(logit_p.min()) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        # Once lo and hi are adjacent doubles the midpoint rounds onto one
-        # of them and further steps leave the bracket as it is.
-        if not lo < mid < hi:
-            break
-        if total(mid) < n:
-            lo = mid
-        else:
-            hi = mid
-    return logit_p + 0.5 * (lo + hi)
-
-
 def _expit(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -332,24 +302,51 @@ def _hajek_newton_step(pi: np.ndarray, r: np.ndarray) -> np.ndarray:
 # The solve stops once max |r| is at most _TOL, and gives up after
 # _MAX_FORWARD_MAPS forward-map evaluations or once a step below
 # _MIN_STEP still fails to lower the residual: the exact forward map can
-# no longer tell the iterates apart.
+# no longer tell the iterates apart.  The final common log-odds shift
+# takes at most _SHIFT_STEPS Newton steps.
 _TOL = 1e-12
 _MAX_FORWARD_MAPS = 500
 _MIN_STEP = 1e-8
+_SHIFT_STEPS = 8
 
 
-def _forward_at_trial(logit_p: np.ndarray, m: int) -> np.ndarray | None:
-    """The exact forward map at a trial point, or None where it cannot be
-    taken: parameters that round to 0 or 1 have no finite positive odds,
-    and a long step can spread the odds so far that the symmetric-function
-    ratios leave double precision (``_forward_map`` raises ArithmeticError)."""
+def _forward_at(logit_p: np.ndarray, m: int) -> np.ndarray:
+    """The exact forward map at the free units' log-odds, every entry in
+    (0, 1).  Raises ``CalibrationError`` where a parameter rounds to 0 or
+    1 (no finite odds) or a probability does (Hajek's step would divide
+    by zero); the kernel raises ArithmeticError where the odds spread
+    too far for its ratios."""
     p = _expit(logit_p)
     if not np.all((p > 0.0) & (p < 1.0)):
-        return None
-    try:
-        return _forward_map(p / (1.0 - p), m)
-    except ArithmeticError:
-        return None
+        raise CalibrationError("a free unit's parameter rounds to 0 or 1")
+    achieved = _forward_map(p / (1.0 - p), m)
+    if not np.all((achieved > 0.0) & (achieved < 1.0)):
+        raise CalibrationError("the forward map lost a free unit's probability")
+    return achieved
+
+
+def _canonical_free_p(logit_p: np.ndarray, m: int) -> np.ndarray:
+    """expit(z + s) for the free units' log-odds z and the common shift s
+    with sum p = m, the canonical representative of their design.
+
+    Newton's method on sum expit(z + s), with derivative d = sum p (1 - p),
+    starts at s = 0, a small drift from the root at the converged iterate
+    of the inverse solve.  It stops once |m - sum p| is within the sum's
+    rounding, eps p_i (1 + |z_i + s|) per term; d = 0 or ``_SHIFT_STEPS``
+    evaluations short of that raise ``CalibrationError``.
+    """
+    shift = 0.0
+    for _ in range(_SHIFT_STEPS):
+        x = logit_p + shift
+        p = _expit(x)
+        r = m - float(p.sum())
+        if abs(r) <= np.finfo(float).eps * float(p @ (1.0 + np.abs(x))):
+            return p
+        d = float(p @ (1.0 - p))
+        if d == 0.0:
+            break
+        shift += r / d
+    raise CalibrationError(f"the log-odds shift missed sum p = {m} by {-r:.3e}")
 
 
 def poisson_from_cps_inclusion(incl: InclusionProbabilities) -> CanonicalPoissonParams:
@@ -368,19 +365,20 @@ def poisson_from_cps_inclusion(incl: InclusionProbabilities) -> CanonicalPoisson
     O(N).  (The cruder diag(v) - v v^T / d gains nothing: for sum r = 0
     its solution is the diagonal step r / v up to a common shift.)
 
-    Every trial point is checked with the exact forward map, and a step
-    is accepted only if it strictly lowers max |r|; trial points the
-    forward map cannot take count as failures.  A rejected step is
-    halved; after an accepted one the step length doubles again, up to
-    a full step.  Iteration stops once max |r| <= ``_TOL``.  A
-    ``CalibrationError`` is raised after ``_MAX_FORWARD_MAPS`` forward-map
-    evaluations or once the step falls below ``_MIN_STEP``.
+    The start and every trial point go through the exact forward map,
+    ``_forward_at``: a start it cannot take raises its error and a
+    trial point counts as a failure.  A step is accepted only if it
+    strictly lowers max |r|.  A rejected step is halved; after an
+    accepted one the step length doubles again, up to a full step.
+    Iteration stops once max |r| <= ``_TOL``.  A ``CalibrationError``
+    is raised after ``_MAX_FORWARD_MAPS`` forward-map evaluations or
+    once the step falls below ``_MIN_STEP``.
 
     A common log-odds shift leaves the fixed-size law unchanged, so the
-    iterates are not renormalized; one shift at the end picks the
-    representative with sum p = n.  When every free target is equal the
-    answer is known by symmetry: p = pi is canonical and induces pi, so
-    it is returned without a solve.
+    iterates are not renormalized; Newton steps on one common shift at
+    the end pick the representative with sum p = n.  When every free
+    target is equal the answer is known by symmetry: p = pi is canonical
+    and induces pi, so it is returned without a solve.
     """
     pi = incl.pi
     n = incl.n
@@ -409,8 +407,7 @@ def poisson_from_cps_inclusion(incl: InclusionProbabilities) -> CanonicalPoisson
             start = pi_free
             break
     logit_p = _logit(start)
-    p_start = _expit(logit_p)
-    achieved = _forward_map(p_start / (1.0 - p_start), m)
+    achieved = _forward_at(logit_p, m)
     evaluations = 1
     step = 1.0
     while True:
@@ -426,13 +423,14 @@ def poisson_from_cps_inclusion(incl: InclusionProbabilities) -> CanonicalPoisson
                     f"forward-map evaluations (residual {residual:.3e})"
                 )
             trial = logit_p + step * delta
-            trial_achieved = _forward_at_trial(trial, m)
             evaluations += 1
-            if (
-                trial_achieved is not None
-                and float(np.max(np.abs(pi_free - trial_achieved))) < residual
-            ):
-                break
+            try:
+                trial_achieved = _forward_at(trial, m)
+            except (ArithmeticError, CalibrationError):
+                pass
+            else:
+                if float(np.max(np.abs(pi_free - trial_achieved))) < residual:
+                    break
             step *= 0.5
             if step < _MIN_STEP:
                 raise CalibrationError(
@@ -441,5 +439,5 @@ def poisson_from_cps_inclusion(incl: InclusionProbabilities) -> CanonicalPoisson
                 )
         logit_p, achieved = trial, trial_achieved
         step = min(1.0, 2.0 * step)
-    p[free] = _expit(_renormalize_logodds(logit_p, m))
+    p[free] = _canonical_free_p(logit_p, m)
     return CanonicalPoissonParams(p=p, n=n)

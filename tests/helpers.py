@@ -5,7 +5,8 @@ processes and its truncation constant θ, which the plug-in estimates
 converge to, the earlier design kernel that the shipped one must match
 bit for bit, the independent (Poisson) design's law and its size-n
 conditioning, and the canonical representative of a parameter vector
-that the design strategies build on."""
+that the design strategies build on, by a bisection for the common
+log-odds shift that the package's Newton shift must match."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from cpsband import (
     RngStream,
     SampleIndicators,
 )
-from cpsband.calibration import _clipped_scale, _expit, _logit, _renormalize_logodds
+from cpsband.calibration import _clipped_scale, _expit, _logit
 from cpsband.oracle import DesignDistribution
 from cpsband.processes import tie_groups
 
@@ -178,6 +179,37 @@ def solve_truncation_constant(alpha: float, w_samples: np.ndarray) -> float:
     return c * float(w.mean())
 
 
+def renormalize_logodds(logit_p: np.ndarray, n: int) -> np.ndarray:
+    """Shift log-odds z by a common constant so the probabilities sum to
+    n, for 0 < n < N.
+
+    A common shift stays inside the odds-equivalence class of the
+    fixed-size design, so this is exactly the canonical representative.
+    With L = logit(n / N), every unit is at most n / N at the shift
+    L - max z and at least n / N at L - min z, so those two shifts
+    bracket the root.  Bisection closes the bracket widened by 1 on
+    each side, so that rounding in the sum cannot put the root outside
+    it when the z nearly coincide.
+    """
+
+    def total(shift: float) -> float:
+        return float(_expit(logit_p + shift).sum())
+
+    target = float(_logit(np.float64(n / logit_p.shape[0])))
+    lo, hi = target - float(logit_p.max()) - 1.0, target - float(logit_p.min()) + 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        # Once lo and hi are adjacent doubles the midpoint rounds onto one
+        # of them and further steps leave the bracket as it is.
+        if not lo < mid < hi:
+            break
+        if total(mid) < n:
+            lo = mid
+        else:
+            hi = mid
+    return logit_p + 0.5 * (lo + hi)
+
+
 def canonicalize_poisson(p, n: int) -> CanonicalPoissonParams:
     """The odds-equivalent representative whose parameters sum to n.
 
@@ -203,7 +235,7 @@ def canonicalize_poisson(p, n: int) -> CanonicalPoissonParams:
             "no positive-parameter representative exists"
         )
     if 0 < m < count:
-        out[free] = _expit(_renormalize_logodds(_logit(p[free]), m))
+        out[free] = _expit(renormalize_logodds(_logit(p[free]), m))
     return CanonicalPoissonParams(p=out, n=n)
 
 

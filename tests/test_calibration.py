@@ -28,7 +28,12 @@ from cpsband.oracle import (
 )
 
 from conftest import design_params
-from helpers import canonicalize_poisson, pips_exact, solve_truncation_constant
+from helpers import (
+    canonicalize_poisson,
+    pips_exact,
+    renormalize_logodds,
+    solve_truncation_constant,
+)
 
 
 def ulps(actual, expected) -> float:
@@ -240,6 +245,16 @@ class TestInverseCalibrationSolver:
         with pytest.raises(CalibrationError, match="stalled"):
             poisson_from_cps_inclusion(incl)
 
+    @pytest.mark.parametrize("tiny", [1e-20, 1e-100, 1e-200])
+    def test_lost_free_probability_is_a_calibration_error(self, tiny):
+        # Units 0 and 4 have the same odds, yet the forward map gives
+        # unit 4 a probability of exactly 0, where Hajek's step would
+        # divide 0 by 0.
+        raw = np.array([tiny, 0.6, 0.7, 0.7, tiny])
+        incl = InclusionProbabilities(pi=2.0 * raw / raw.sum(), n=2)
+        with pytest.raises(CalibrationError, match="lost a free unit's probability"):
+            poisson_from_cps_inclusion(incl)
+
     def test_has_no_damping_knob(self):
         # Neither damping nor the iteration limits are keywords.
         incl = InclusionProbabilities(pi=np.array([0.2, 0.8]), n=1)
@@ -268,41 +283,42 @@ class TestLargeDesigns:
         assert _round_trip_error(incl) < 1e-10
 
 
-def _renormalize_full_bisection(logit_p: np.ndarray, n: int) -> np.ndarray:
-    """The renormalization with all 200 bisection steps taken."""
+@pytest.mark.parametrize(
+    "n_units, sigma",
+    [(500, None), (2000, None), (8000, None), (60, 4.0)],
+    ids=["proportional-500", "proportional-2000", "proportional-8000", "lognormal4-60"],
+)
+def test_canonical_shift_matches_the_bisection(monkeypatch, n_units, sigma):
+    # The solve ends on a Newton shift of its converged log-odds; the
+    # bisection over a closed-form bracket is the reference.
+    if sigma is None:
+        x = generate_population(n_units, RngStream(1).substream(0)).x
+    else:
+        x = np.random.default_rng(0).lognormal(0.0, sigma, n_units)
+    incl = pips_probabilities(x, n_units // 10)
+    converged = []
+    shift = calibration._canonical_free_p
 
-    def total(shift: float) -> float:
-        return float(calibration._expit(logit_p + shift).sum())
+    def recording(logit_p, m):
+        converged.append((logit_p.copy(), m))
+        return shift(logit_p, m)
 
-    lo, hi = -1.0, 1.0
-    while total(lo) > n:
-        lo *= 2.0
-    while total(hi) < n:
-        hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if total(mid) < n:
-            lo = mid
-        else:
-            hi = mid
-    return logit_p + 0.5 * (lo + hi)
+    monkeypatch.setattr(calibration, "_canonical_free_p", recording)
+    params = poisson_from_cps_inclusion(incl)
+    [(logit_p, m)] = converged
+    reference = calibration._expit(renormalize_logodds(logit_p, m))
+    assert ulps(params.p[params.free], reference) <= 16
+    assert abs(float(params.p.sum()) - incl.n) <= 1e-12 * incl.n
 
 
-def test_renormalization_early_exit_is_bit_identical():
-    # Every third vector is constant but for one ulp: there the closed-form
-    # bracket is one point up to rounding, which can put the root outside.
-    rng = np.random.default_rng(2024)
-    for i in range(450):
-        n_units = int(rng.integers(2, 500))
-        n = int(rng.integers(1, n_units))
-        logit_p = rng.normal(rng.normal(0.0, 3.0), rng.uniform(0.1, 4.0), n_units)
-        if i % 3 == 2:
-            logit_p[1:] = logit_p[0]
-            logit_p[0] = np.nextafter(logit_p[0], np.inf)
-        assert np.array_equal(
-            calibration._renormalize_logodds(logit_p, n),
-            _renormalize_full_bisection(logit_p, n),
-        )
+def test_canonical_shift_gives_up_with_calibration_error(monkeypatch):
+    # One evaluation at s = 0 is not the root.
+    monkeypatch.setattr(calibration, "_SHIFT_STEPS", 1)
+    with pytest.raises(CalibrationError, match="missed sum p = 1"):
+        calibration._canonical_free_p(np.array([-1.0, 0.0, 2.0]), 1)
+    # Every p rounds to 0 or 1, so d = 0 and there is no Newton step.
+    with pytest.raises(CalibrationError, match="missed sum p = 1"):
+        calibration._canonical_free_p(np.array([800.0, 800.0, -800.0]), 1)
 
 
 class TestTruncationConstant:

@@ -63,9 +63,10 @@ def test_extreme_odds_mix_raises_arithmetic_error():
 
 def test_newton_start_reaches_the_kernel_inside_the_unit_interval():
     # The kernel checks none of its odds.  The inverse solve hands it
-    # expit(logit(q)) for a start q in (0, 1) without the screen that
+    # expit(logit(q)) for a start q in (0, 1) through the screen that
     # every trial point passes, so the round trip must stay strictly
-    # inside (0, 1), where the odds are finite and positive.
+    # inside (0, 1), where the odds are finite and positive, for a start
+    # never to be rejected for rounding.
     q = np.array([5e-324, 1e-300, 0.5, 1.0 - 2.0**-52, np.nextafter(1.0, 0.0)])
     with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
         p = _expit(_logit(q))
